@@ -21,7 +21,7 @@ from repro.stats.tables import format_table
 def main() -> None:
     config = tiny_scenario("live-monitor")
     world = World.build(config, seed=77)
-    scheduler = EventScheduler()
+    scheduler = EventScheduler(metrics=world.metrics)
     monitor = ContentPublishingMonitor(
         world, scheduler, poll_interval=5.0,
         # The paper's future-work fake filter, realised: verify a sample of

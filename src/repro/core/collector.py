@@ -7,9 +7,9 @@ This is the one-call entry point the examples and benchmarks use::
 
     dataset = run_measurement(pb10_scenario(scale=0.4), seed=2010)
 
-Each run gets its own :class:`~repro.observability.MetricsRegistry` (unless
-one is injected via ``metrics=`` or ``config.metrics``), so telemetry never
-bleeds between campaigns and two same-seed runs produce byte-identical
+Each run records into the :class:`~repro.observability.MetricsRegistry`
+passed as ``metrics=``, or into a fresh one, so telemetry never bleeds
+between campaigns and two same-seed runs produce byte-identical
 sim-clock snapshots.  The final snapshot rides on ``dataset.metrics``; wall
 timers (``campaign.build_world_wall_ms``, ``campaign.crawl_wall_ms``) carry
 the real performance numbers.
@@ -28,22 +28,13 @@ from repro.simulation.scenarios import ScenarioConfig
 from repro.simulation.world import World
 
 
-def _resolve_registry(
-    config: ScenarioConfig, metrics: Optional[MetricsRegistry]
-) -> MetricsRegistry:
-    if metrics is not None:
-        return metrics
-    if config.metrics is not None:
-        return config.metrics
-    return MetricsRegistry()
-
-
 def _run(
     config: ScenarioConfig,
     seed: int,
-    registry: MetricsRegistry,
+    metrics: Optional[MetricsRegistry],
     report: Callable[[str], None],
 ) -> Tuple[Dataset, World]:
+    registry = metrics if metrics is not None else MetricsRegistry()
     report(f"[{config.name}] building world (seed={seed})")
     with registry.timer("campaign.build_world_wall_ms"):
         world = World.build(config, seed, metrics=registry)
@@ -60,7 +51,7 @@ def _run(
         scheduler.run_until(config.horizon_minutes)
     report(
         f"[{config.name}] crawl finished: {scheduler.events_run} events, "
-        f"{crawler.stats['announces']} announces"
+        f"{int(registry.counter('crawler.announces').total())} announces"
     )
     return crawler.build_dataset(), world
 
@@ -77,7 +68,7 @@ def run_measurement(
         if progress is not None:
             progress(message)
 
-    dataset, _world = _run(config, seed, _resolve_registry(config, metrics), report)
+    dataset, _world = _run(config, seed, metrics, report)
     return dataset
 
 
@@ -91,6 +82,4 @@ def run_measurement_with_world(
     Tests use this to validate the measurement pipeline against the truth;
     analysis code must only ever receive the :class:`Dataset`.
     """
-    return _run(
-        config, seed, _resolve_registry(config, metrics), lambda message: None
-    )
+    return _run(config, seed, metrics, lambda message: None)

@@ -30,7 +30,6 @@ from typing import Dict, Optional, Set
 from repro.core.datasets import Dataset, IdentificationOutcome, TorrentRecord
 from repro.core.dht_crawler import DhtCrawler
 from repro.core.identification import identify_publisher
-from repro.observability import MetricsRegistry, get_default_registry
 from repro.peerwire import BitfieldProber
 from repro.portal.rss import RssEntry
 from repro.simulation.engine import EventScheduler
@@ -38,7 +37,12 @@ from repro.simulation.scenarios import CrawlerSettings, ScenarioConfig
 from repro.simulation.world import World
 from repro.torrent import MagnetError, parse_magnet, parse_torrent
 from repro.torrent.metainfo import DEFAULT_PIECE_LENGTH
-from repro.tracker import AnnounceRequest, TrackerError, decode_announce_response
+from repro.tracker import (
+    AnnounceRequest,
+    TrackerError,
+    WireRoundTripError,
+    decode_announce_response,
+)
 from repro.websites import default_monitor_panel
 
 _CRAWLER_PEER_ID = b"-RP1000-repro-crawl1"
@@ -56,7 +60,6 @@ class Crawler:
         scheduler: EventScheduler,
         rng: random.Random,
         settings: Optional[CrawlerSettings] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.world = world
         self.scheduler = scheduler
@@ -74,32 +77,22 @@ class Crawler:
         self._announce_requests: Dict[tuple, AnnounceRequest] = {}
         self._last_rss_time = float("-inf")
         self._hard_stop = world.config.horizon_minutes
-        self.stats = {
-            "rss_polls": 0,
-            "announces": 0,
-            "announce_failures": 0,
-            "probes": 0,
-            "torrents_discovered": 0,
-            "dht_lookups": 0,
-            "magnet_resolutions": 0,
-        }
-        if metrics is not None:
-            self.metrics = metrics
-        elif getattr(world, "metrics", None) is not None:
-            self.metrics = world.metrics
-        else:
-            self.metrics = get_default_registry()
-        registry = self.metrics
+        # The registry is the only tally of what the crawler did;
+        # build_dataset derives ``crawler_stats`` from it.
+        self.metrics = registry = world.metrics
         self._m_rss_polls = registry.counter("crawler.rss_polls").labels()
-        # The two hot announce outcomes get pre-bound handles; rare label
-        # sets keep using the kwargs API on the parent counter.
-        announces = registry.counter("crawler.announces")
-        self._m_announces = announces
-        self._m_announce_ok = announces.labels(outcome="ok")
-        self._m_announce_failure = announces.labels(outcome="failure")
+        self._m_announces = registry.counter("crawler.announces")
+        self._m_announce_ok = self._m_announces.labels(outcome="ok")
+        self._m_announce_failure = self._m_announces.labels(outcome="failure")
         self._m_discovered = registry.counter("crawler.torrents_discovered").labels()
-        self._m_identification = registry.counter("crawler.identification")
-        self._m_monitor_stops = registry.counter("crawler.monitor_stops")
+        identification = registry.counter("crawler.identification")
+        self._m_identification = {
+            outcome: identification.labels(outcome=outcome.name)
+            for outcome in IdentificationOutcome
+        }
+        stops = registry.counter("crawler.monitor_stops")
+        self._m_stop_empty = stops.labels(reason="empty_replies")
+        self._m_stop_horizon = stops.labels(reason="horizon")
         self._m_watchlist = registry.gauge("crawler.watchlist_size").labels()
         self._m_lag = registry.histogram("crawler.discovery_lag_minutes").labels()
         self._m_probes = registry.gauge("crawler.probes").labels()
@@ -114,7 +107,7 @@ class Crawler:
             self.dht_crawler = DhtCrawler(
                 world.dht,
                 random.Random(rng.getrandbits(64)),
-                metrics=self.metrics,
+                metrics=registry,
             )
 
     # ------------------------------------------------------------------
@@ -129,7 +122,6 @@ class Crawler:
     # ------------------------------------------------------------------
     def _poll_rss(self) -> None:
         now = self.scheduler.clock.now
-        self.stats["rss_polls"] += 1
         self._m_rss_polls.inc()
         entries = self.world.portal.feed.entries_between(self._last_rss_time, now)
         self._last_rss_time = now
@@ -150,7 +142,6 @@ class Crawler:
             discovered_time=now,
         )
         self.records[entry.torrent_id] = record
-        self.stats["torrents_discovered"] += 1
         self._m_discovered.inc()
         self._m_lag.observe(now - entry.published_time)
         self.metrics.trace.record(
@@ -159,7 +150,7 @@ class Crawler:
 
         if not self._acquire_metadata(record, entry, now):
             record.identification = IdentificationOutcome.TORRENT_GONE
-            self._m_identification.inc(outcome=IdentificationOutcome.TORRENT_GONE.name)
+            self._m_identification[IdentificationOutcome.TORRENT_GONE].inc()
             record.done = True
             return
 
@@ -221,7 +212,6 @@ class Crawler:
             num_pieces = max(
                 1, math.ceil(record.size_bytes / DEFAULT_PIECE_LENGTH)
             )
-            self.stats["magnet_resolutions"] += 1
         self._probers[record.torrent_id] = BitfieldProber(
             self.world.swarm_for(record.torrent_id),
             num_pieces,
@@ -242,14 +232,14 @@ class Crawler:
                 numwant=self.settings.numwant,
             )
         tracker = self.world.tracker
-        self.stats["announces"] += 1
         if tracker.config.wire_fidelity == "sampled":
             # Object path: the tracker hands back the response dataclass and
             # only round-trips 1-in-N messages through the codec itself.
             try:
                 response = tracker.announce_object(request, now)
+            except WireRoundTripError:
+                raise  # a codec defect, not a tracker reply
             except TrackerError:
-                self.stats["announce_failures"] += 1
                 self._m_announce_failure.inc()
                 return None
         else:
@@ -257,7 +247,6 @@ class Crawler:
             try:
                 response = decode_announce_response(raw)
             except TrackerError:
-                self.stats["announce_failures"] += 1
                 self._m_announce_failure.inc()
                 return None
         self._m_announce_ok.inc()
@@ -288,7 +277,6 @@ class Crawler:
     def _dht_lookup(self, record: TorrentRecord, now: float):
         assert self.dht_crawler is not None
         result = self.dht_crawler.lookup(record.infohash, now)
-        self.stats["dht_lookups"] += 1
         self._process_response(record, result, now, channel="dht")
         return result
 
@@ -310,7 +298,7 @@ class Crawler:
             if record.empty_streak >= self.settings.empty_replies_to_stop:
                 record.done = True
                 record.monitoring_ended = now
-                self._m_monitor_stops.inc(reason="empty_replies")
+                self._m_stop_empty.inc()
                 self.metrics.trace.record(
                     now, "crawler.monitor_stop", torrent_id=torrent_id,
                     reason="empty_replies",
@@ -322,7 +310,7 @@ class Crawler:
         elif not self._use_tracker:
             record.done = True
             record.monitoring_ended = self._hard_stop
-            self._m_monitor_stops.inc(reason="horizon")
+            self._m_stop_horizon.inc()
 
     # ------------------------------------------------------------------
     # Identification
@@ -335,7 +323,7 @@ class Crawler:
             response, prober, now, max_probe_peers=self.settings.max_probe_peers
         )
         record.identification = result.outcome
-        self._m_identification.inc(outcome=result.outcome.name)
+        self._m_identification[result.outcome].inc()
         if result.publisher_ip is not None:
             record.publisher_ip = result.publisher_ip
             record.identified_time = now
@@ -401,7 +389,7 @@ class Crawler:
         if record.empty_streak >= self.settings.empty_replies_to_stop:
             record.done = True
             record.monitoring_ended = now
-            self._m_monitor_stops.inc(reason="empty_replies")
+            self._m_stop_empty.inc()
             self.metrics.trace.record(
                 now, "crawler.monitor_stop", torrent_id=torrent_id,
                 reason="empty_replies",
@@ -416,17 +404,15 @@ class Crawler:
         else:
             record.done = True
             record.monitoring_ended = self._hard_stop
-            self._m_monitor_stops.inc(reason="horizon")
+            self._m_stop_horizon.inc()
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
     def build_dataset(self) -> Dataset:
         config: ScenarioConfig = self.world.config
-        self.stats["probes"] = sum(
-            prober.probes_sent for prober in self._probers.values()
-        )
-        self._m_probes.set(self.stats["probes"])
+        probes = sum(prober.probes_sent for prober in self._probers.values())
+        self._m_probes.set(probes)
         # Final identification outcome per torrent (idempotent gauge, unlike
         # the attempt counter which counts every retry).
         final = self.metrics.gauge("crawler.identification_final")
@@ -435,7 +421,22 @@ class Crawler:
             name = record.identification.name
             outcomes[name] = outcomes.get(name, 0) + 1
         for name, count in outcomes.items():
-            final.set(count, outcome=name)
+            final.labels(outcome=name).set(count)
+        crawler_stats = {
+            "rss_polls": int(self._m_rss_polls.value()),
+            "announces": int(self._m_announces.total()),
+            "announce_failures": int(self._m_announce_failure.value()),
+            "probes": probes,
+            "torrents_discovered": int(self._m_discovered.value()),
+            # Looked up only if present: creating it would add an empty
+            # instrument to tracker-only snapshots.
+            "dht_lookups": int(self.metrics.counter("dht.lookups").total())
+            if "dht.lookups" in self.metrics
+            else 0,
+            "magnet_resolutions": sum(
+                record.via_magnet for record in self.records.values()
+            ),
+        }
         return Dataset(
             name=config.name,
             config=config,
@@ -447,6 +448,6 @@ class Crawler:
             portal=self.world.portal,
             web_directory=self.world.web_directory,
             monitor_panel=default_monitor_panel(),
-            crawler_stats=dict(self.stats),
+            crawler_stats=crawler_stats,
             metrics=self.metrics.snapshot(),
         )

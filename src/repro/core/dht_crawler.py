@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dht import (
@@ -33,7 +33,7 @@ from repro.dht import (
     unpack_compact_peers,
     xor_distance,
 )
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 
 # The crawler's DHT client lives in its own prefix (10.88.x.x): distinct
 # from vantage machines (10.66.x.x) and DHT nodes (10.77.x.x).
@@ -85,17 +85,6 @@ class _Candidate:
         return -1 if self.node_id is None else xor_distance(self.node_id, target)
 
 
-@dataclass
-class DhtCrawlerStats:
-    lookups: int = 0
-    lookups_with_peers: int = 0
-    queries_sent: int = 0
-    responses: int = 0
-    errors: int = 0
-    timeouts: int = 0  # lost/unroutable messages
-    rounds: List[int] = field(default_factory=list)
-
-
 class DhtCrawler:
     """The crawler's DHT client: deterministic iterative lookups."""
 
@@ -110,13 +99,16 @@ class DhtCrawler:
         self.rng = rng
         self.client_ip = client_ip
         self.client_id = derive_node_id("repro-dht-crawler", client_ip)
-        self.stats = DhtCrawlerStats()
-        self.metrics = metrics if metrics is not None else get_default_registry()
-        self._m_lookups = self.metrics.counter("dht.lookups")
-        self._m_queries = self.metrics.counter("dht.lookup_queries")
-        self._m_hops = self.metrics.histogram("dht.lookup_hops")
-        self._m_peers = self.metrics.histogram("dht.lookup_peers")
-        self._m_latency = self.metrics.histogram("dht.lookup_latency_minutes")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        lookups = self.metrics.counter("dht.lookups")
+        self._m_lookups_peers = lookups.labels(outcome="peers")
+        self._m_lookups_empty = lookups.labels(outcome="empty")
+        self._m_queries = self.metrics.counter("dht.lookup_queries").labels()
+        self._m_hops = self.metrics.histogram("dht.lookup_hops").labels()
+        self._m_peers = self.metrics.histogram("dht.lookup_peers").labels()
+        self._m_latency = self.metrics.histogram(
+            "dht.lookup_latency_minutes"
+        ).labels()
         self._tid_counter = 0
 
     def _next_tid(self) -> bytes:
@@ -163,11 +155,7 @@ class DhtCrawler:
                     leechers = max(leechers, leeches)
 
         latency = rounds * self.network.config.per_hop_rtt_minutes
-        self.stats.lookups += 1
-        self.stats.rounds.append(rounds)
-        if peers:
-            self.stats.lookups_with_peers += 1
-        self._m_lookups.inc(outcome="peers" if peers else "empty")
+        (self._m_lookups_peers if peers else self._m_lookups_empty).inc()
         self._m_hops.observe(float(rounds))
         self._m_peers.observe(float(len(peers)))
         self._m_latency.observe(latency)
@@ -223,19 +211,15 @@ class DhtCrawler:
             "get_peers",
             {"id": node_id_to_bytes(self.client_id), "info_hash": infohash},
         )
-        self.stats.queries_sent += 1
         self._m_queries.inc()
         raw = self.network.send(
             candidate.ip, query, self.client_ip, CRAWLER_DHT_PORT, now
         )
         if raw is None:
-            self.stats.timeouts += 1
             return None
         reply = decode_message(raw)
         if not isinstance(reply, KrpcResponse):
-            self.stats.errors += 1
             return None
-        self.stats.responses += 1
         candidate.responded = True
         responder_id = reply.values.get(b"id")
         if isinstance(responder_id, bytes) and len(responder_id) == 20:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.dht.node import DHT_PORT, DhtNode
 from repro.dht.routing import Contact, derive_node_id, xor_distance
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 
 # DHT node IPs live in 10.77.0.0/16; the crawler vantages use 10.66.0.0/16
 # and simulated peers get public-looking addresses from the geoip model, so
@@ -78,8 +78,13 @@ class DhtNetwork:
         self.nodes = nodes
         self._by_ip: Dict[int, DhtNode] = {node.ip: node for node in nodes}
         self._rng = rng
-        self.metrics = metrics if metrics is not None else get_default_registry()
-        self.metrics.gauge("dht.nodes").set(len(nodes))
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics.gauge("dht.nodes").labels().set(len(nodes))
+        self._m_stored = self.metrics.counter("dht.announces_stored").labels()
+        messages = self.metrics.counter("dht.messages")
+        self._m_unroutable = messages.labels(outcome="unroutable")
+        self._m_lost = messages.labels(outcome="lost")
+        self._m_delivered = messages.labels(outcome="delivered")
 
     # ------------------------------------------------------------------
     # Construction
@@ -93,7 +98,7 @@ class DhtNetwork:
         metrics: Optional[MetricsRegistry] = None,
     ) -> "DhtNetwork":
         """Assemble the overlay deterministically from the campaign seed."""
-        registry = metrics if metrics is not None else get_default_registry()
+        registry = metrics if metrics is not None else MetricsRegistry()
         nodes: List[DhtNode] = []
         for index in range(config.num_nodes):
             node_rng = random.Random(rng.getrandbits(64))
@@ -120,7 +125,7 @@ class DhtNetwork:
                     Contact(node_id=other.node_id, ip=other.ip, port=other.port),
                     now=0.0,
                 )
-        table_sizes = registry.histogram("dht.routing_table_size")
+        table_sizes = registry.histogram("dht.routing_table_size").labels()
         for node in nodes:
             table_sizes.observe(float(len(node.table)))
         return cls(config, nodes, rng, metrics=registry)
@@ -161,7 +166,7 @@ class DhtNetwork:
             node.store_announce(
                 infohash, ip=ip, port=port, start=start, end=end, seed_from=seed_from
             )
-        self.metrics.counter("dht.announces_stored").inc(len(responsible))
+        self._m_stored.inc(len(responsible))
         return len(responsible)
 
     # ------------------------------------------------------------------
@@ -174,10 +179,10 @@ class DhtNetwork:
         packet (unknown address, or seed-deterministic loss)."""
         node = self._by_ip.get(dest_ip)
         if node is None:
-            self.metrics.counter("dht.messages").inc(outcome="unroutable")
+            self._m_unroutable.inc()
             return None
         if self.config.message_loss and self._rng.random() < self.config.message_loss:
-            self.metrics.counter("dht.messages").inc(outcome="lost")
+            self._m_lost.inc()
             return None
-        self.metrics.counter("dht.messages").inc(outcome="delivered")
+        self._m_delivered.inc()
         return node.handle_query(raw, sender_ip, sender_port, now)

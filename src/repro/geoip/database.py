@@ -119,10 +119,6 @@ class AddressPlan:
             self._isp_prefixes[profile.name] = infos
         self._host_counters: Dict[int, int] = {}
 
-    @property
-    def isp_names(self) -> List[str]:
-        return list(self._profiles)
-
     def profile(self, isp: str) -> IspProfile:
         try:
             return self._profiles[isp]

@@ -5,24 +5,26 @@ Usage::
     from repro.observability import MetricsRegistry
 
     registry = MetricsRegistry()
-    registry.counter("crawler.announces").inc(outcome="ok")
-    registry.histogram("tracker.response_bytes").observe(412)
+    announces = registry.counter("crawler.announces")
+    ok = announces.labels(outcome="ok")  # bind once, reuse on the hot path
+    ok.inc()
+    registry.histogram("tracker.response_bytes").labels().observe(412)
     with registry.timer("report.build_wall_ms"):
         ...
-    print(registry.to_json(indent=2))
+    print(announces.total(), registry.to_json(indent=2))
 
-Components that are built without an explicit registry fall back to the
-process-global default (:func:`get_default_registry`), so ad-hoc scripts get
-instrumentation for free; campaign entry points
-(:func:`repro.core.collector.run_measurement`) create a fresh registry per
-run so runs never bleed into each other and same-seed snapshots stay
-byte-identical.
+Every read and write goes through a handle bound with ``.labels(...)``;
+the instruments themselves only bind, total and snapshot.
+
+There is no process-global registry.  A component records into the
+registry it is given; one built without a registry creates a fresh
+private :class:`MetricsRegistry`, so nothing is shared between runs.
+Campaign entry points (:func:`repro.core.collector.run_measurement`,
+:meth:`repro.simulation.world.World.build`) pass one registry down to every
+component of a run, so same-seed sim snapshots stay byte-identical.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.observability.metrics import (
     Counter,
@@ -35,32 +37,6 @@ from repro.observability.metrics import (
 )
 from repro.observability.tracing import TraceBuffer, TraceEvent
 
-_default_registry = MetricsRegistry()
-
-
-def get_default_registry() -> MetricsRegistry:
-    """The process-global registry used when none is injected."""
-    return _default_registry
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-global registry; returns the previous one."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous
-
-
-@contextmanager
-def scoped_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Temporarily make ``registry`` the process-global default."""
-    previous = set_default_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_default_registry(previous)
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -71,7 +47,4 @@ __all__ = [
     "TraceBuffer",
     "TraceEvent",
     "merge_snapshots",
-    "get_default_registry",
-    "set_default_registry",
-    "scoped_registry",
 ]

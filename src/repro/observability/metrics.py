@@ -17,9 +17,11 @@ Two clock domains coexist and must never be mixed:
   read ``time.perf_counter`` and carry the real performance numbers; they are
   excluded from deterministic snapshots.
 
-Instruments are labeled: ``counter.inc(outcome="ok")`` keeps one value per
-distinct label set, like every mainstream metrics facade, but with zero
-third-party dependencies and a deterministic serialisation order.
+Instruments are labeled: ``counter.labels(outcome="ok")`` binds one label
+set and returns the handle every read and write goes through, so
+``counter.labels(outcome="ok").inc()`` keeps one value per distinct label
+set, like every mainstream metrics facade, but with zero third-party
+dependencies and a deterministic serialisation order.
 """
 
 from __future__ import annotations
@@ -66,11 +68,10 @@ class _Instrument:
 
 
 class _BoundCounter:
-    """A counter pre-resolved to one label set (hot-path handle).
+    """A counter bound to one label set.
 
-    Created via :meth:`Counter.labels`; skips the per-call ``_label_key``
-    sort/stringify and writes straight into the parent's value table, so a
-    bound ``inc()`` is a dict update and nothing else.
+    Created via :meth:`Counter.labels`; writes straight into the parent's
+    value table, so ``inc()`` is a dict update and nothing else.
     """
 
     __slots__ = ("_counter", "_key")
@@ -102,24 +103,13 @@ class Counter(_Instrument):
         self._values: Dict[LabelKey, float] = {}
         self._bound: Dict[LabelKey, _BoundCounter] = {}
 
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise MetricsError(
-                f"counter {self.name!r} cannot decrease (amount={amount})"
-            )
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
     def labels(self, **labels: Any) -> _BoundCounter:
-        """A bound handle for this label set; shares state with ``inc``."""
+        """The handle for this label set (cached: one per label set)."""
         key = _label_key(labels)
         handle = self._bound.get(key)
         if handle is None:
             handle = self._bound[key] = _BoundCounter(self, key)
         return handle
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
 
     def total(self) -> float:
         """Sum across every label set."""
@@ -133,7 +123,7 @@ class Counter(_Instrument):
 
 
 class _BoundGauge:
-    """A gauge pre-resolved to one label set (hot-path handle)."""
+    """A gauge bound to one label set."""
 
     __slots__ = ("_gauge", "_key")
 
@@ -163,22 +153,12 @@ class Gauge(_Instrument):
         self._bound: Dict[LabelKey, _BoundGauge] = {}
 
     def labels(self, **labels: Any) -> _BoundGauge:
-        """A bound handle for this label set; shares state with ``set``."""
+        """The handle for this label set (cached: one per label set)."""
         key = _label_key(labels)
         handle = self._bound.get(key)
         if handle is None:
             handle = self._bound[key] = _BoundGauge(self, key)
         return handle
-
-    def set(self, value: float, **labels: Any) -> None:
-        self._values[_label_key(labels)] = float(value)
-
-    def add(self, amount: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
 
     def snapshot_values(self, include_samples: bool = False) -> Dict[str, Any]:
         return {
@@ -252,14 +232,13 @@ def _nearest_rank(samples: List[float], q: float) -> float:
 
 
 class _BoundHistogram:
-    """A histogram pre-resolved to one label set (hot-path handle).
+    """A histogram bound to one label set.
 
     After the first ``observe`` the handle holds its
     :class:`_HistogramState` directly, so subsequent calls go straight to
     the accumulator without a key lookup.  The state is materialised
     lazily: binding a label set that is never observed must not add a
-    ``count: 0`` entry to snapshots (that would break snapshot
-    bit-identity with the kwargs API).
+    ``count: 0`` entry to snapshots.
     """
 
     __slots__ = ("_histogram", "_key", "_state")
@@ -279,11 +258,18 @@ class _BoundHistogram:
             self._state = state
         state.observe(float(value), self._histogram.max_samples)
 
+    def _current(self) -> Optional[_HistogramState]:
+        if self._state is None:
+            return self._histogram._states.get(self._key)
+        return self._state
+
     def count(self) -> int:
-        state = self._state
-        if state is None:
-            state = self._histogram._states.get(self._key)
+        state = self._current()
         return state.count if state is not None else 0
+
+    def summary(self) -> Dict[str, Any]:
+        state = self._current()
+        return state.summary() if state is not None else {"count": 0}
 
 
 class Histogram(_Instrument):
@@ -304,27 +290,12 @@ class Histogram(_Instrument):
         self._bound: Dict[LabelKey, _BoundHistogram] = {}
 
     def labels(self, **labels: Any) -> _BoundHistogram:
-        """A bound handle for this label set; shares state with ``observe``."""
+        """The handle for this label set (cached: one per label set)."""
         key = _label_key(labels)
         handle = self._bound.get(key)
         if handle is None:
             handle = self._bound[key] = _BoundHistogram(self, key)
         return handle
-
-    def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = _HistogramState()
-        state.observe(float(value), self.max_samples)
-
-    def count(self, **labels: Any) -> int:
-        state = self._states.get(_label_key(labels))
-        return state.count if state is not None else 0
-
-    def summary(self, **labels: Any) -> Dict[str, Any]:
-        state = self._states.get(_label_key(labels))
-        return state.summary() if state is not None else {"count": 0}
 
     def snapshot_values(self, include_samples: bool = False) -> Dict[str, Any]:
         return {
@@ -343,17 +314,15 @@ class Timer:
     (simulated minutes, recorded as-is) for sim timers.
     """
 
-    __slots__ = ("_histogram", "_labels", "_clock_fn", "_scale", "_start")
+    __slots__ = ("_handle", "_clock_fn", "_scale", "_start")
 
     def __init__(
         self,
-        histogram: Histogram,
-        labels: Dict[str, Any],
+        handle: _BoundHistogram,
         clock_fn: Callable[[], float],
         scale: float = 1.0,
     ) -> None:
-        self._histogram = histogram
-        self._labels = labels
+        self._handle = handle
         self._clock_fn = clock_fn
         self._scale = scale
         self._start = 0.0
@@ -364,7 +333,7 @@ class Timer:
 
     def __exit__(self, *exc_info: Any) -> None:
         elapsed = (self._clock_fn() - self._start) * self._scale
-        self._histogram.observe(elapsed, **self._labels)
+        self._handle.observe(elapsed)
 
 
 class MetricsRegistry:
@@ -375,25 +344,7 @@ class MetricsRegistry:
     silently split one metric into two).
     """
 
-    def __init__(
-        self,
-        trace_capacity: int = 1024,
-        wall_sample_interval: int = 16,
-        sim_sample_interval: int = 1,
-    ) -> None:
-        # Sampling knobs for per-event instrumentation (read by the engine):
-        # wall_sample_interval thins perf_counter callback timings, which are
-        # wall-domain and excluded from deterministic snapshots, so 1-in-16
-        # is the default.  sim_sample_interval thins sim-domain per-event
-        # observations (heap depth); it defaults to 1 (exact) because those
-        # feed the deterministic snapshot -- raise it only when you accept
-        # that same-seed snapshots move.
-        if wall_sample_interval < 1:
-            raise MetricsError("wall_sample_interval must be >= 1")
-        if sim_sample_interval < 1:
-            raise MetricsError("sim_sample_interval must be >= 1")
-        self.wall_sample_interval = wall_sample_interval
-        self.sim_sample_interval = sim_sample_interval
+    def __init__(self, trace_capacity: int = 1024) -> None:
         self._instruments: Dict[str, _Instrument] = {}
         self.trace = TraceBuffer(capacity=trace_capacity)
 
@@ -429,8 +380,8 @@ class MetricsRegistry:
 
     def timer(self, name: str, **labels: Any) -> Timer:
         """Wall-clock timer; records milliseconds into a ``wall`` histogram."""
-        histogram = self.histogram(name, wall=True)
-        return Timer(histogram, labels, time.perf_counter, scale=1000.0)
+        handle = self.histogram(name, wall=True).labels(**labels)
+        return Timer(handle, time.perf_counter, scale=1000.0)
 
     def sim_timer(self, name: str, clock: Any, **labels: Any) -> Timer:
         """Simulated-clock timer; records elapsed simulated minutes.
@@ -439,8 +390,8 @@ class MetricsRegistry:
         :class:`~repro.simulation.clock.Clock`), so durations derive from
         event-engine time and stay deterministic under a fixed seed.
         """
-        histogram = self.histogram(name, wall=False)
-        return Timer(histogram, labels, lambda: clock.now, scale=1.0)
+        handle = self.histogram(name, wall=False).labels(**labels)
+        return Timer(handle, lambda: clock.now, scale=1.0)
 
     # ------------------------------------------------------------------
     # Introspection / export

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.peerwire.messages import (
+    PeerWireError,
     bitfield_from_progress,
     decode_bitfield,
     decode_handshake,
@@ -69,7 +70,7 @@ class BitfieldProber:
         outgoing = encode_handshake(self._swarm.infohash, self._peer_id)
         their_infohash, _ = decode_handshake(outgoing)
         if their_infohash != self._swarm.infohash:
-            raise AssertionError("handshake round-trip corrupted infohash")
+            raise PeerWireError("handshake round-trip corrupted infohash")
 
         # The simulated peer replies with its handshake and bitfield bytes.
         reply_handshake = encode_handshake(

@@ -133,12 +133,12 @@ def _verify_against(
     outgoing = encode_handshake(meta.infohash, client_peer_id)
     infohash, _ = decode_handshake(outgoing)
     if infohash != meta.infohash:
-        raise AssertionError("handshake round-trip corrupted infohash")
+        raise PeerWireError("handshake round-trip corrupted infohash")
     # interested -> unchoke (the simulated peer always unchokes a verifier).
     interested = encode_state(INTERESTED_ID)
     message_id, _ = decode_message(interested)
     if message_id != INTERESTED_ID:
-        raise AssertionError("state message round-trip failed")
+        raise PeerWireError("state message round-trip failed")
     unchoke_id, _ = decode_message(encode_state(UNCHOKE_ID))
     if unchoke_id != UNCHOKE_ID:
         return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.portal.accounts import AccountRegistry
 from repro.portal.categories import Category
 from repro.portal.pages import ContentPage, UserPage
@@ -70,12 +70,20 @@ class Portal:
         self.feed = RssFeed(include_username=config.rss_includes_username)
         self._items: Dict[int, _Item] = {}
         self._next_id = 1
-        self.metrics = metrics if metrics is not None else get_default_registry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_publishes = self.metrics.counter("portal.publishes")
-        self._m_removals = self.metrics.counter("portal.removals_scheduled")
-        self._m_bans = self.metrics.counter("portal.account_bans")
-        self._m_downloads = self.metrics.counter("portal.torrent_downloads")
-        self._m_magnets = self.metrics.counter("portal.magnet_fetches")
+        self._m_removals = self.metrics.counter("portal.removals_scheduled").labels()
+        self._m_bans = self.metrics.counter("portal.account_bans").labels()
+        downloads = self.metrics.counter("portal.torrent_downloads")
+        self._m_download = {
+            result: downloads.labels(result=result)
+            for result in ("gone", "magnet_only", "ok")
+        }
+        magnets = self.metrics.counter("portal.magnet_fetches")
+        self._m_magnet = {
+            result: magnets.labels(result=result)
+            for result in ("gone", "absent", "ok")
+        }
 
     # ------------------------------------------------------------------
     # Publishing (world-facing)
@@ -138,7 +146,7 @@ class Portal:
                 magnet_uri=magnet_uri,
             )
         )
-        self._m_publishes.inc(kind=payload_kind)
+        self._m_publishes.labels(kind=payload_kind).inc()
         self.metrics.trace.record(
             time, "portal.publish", torrent_id=torrent_id, username=username
         )
@@ -177,24 +185,24 @@ class Portal:
         """
         item = self._require(torrent_id)
         if not self._visible(item, now):
-            self._m_downloads.inc(result="gone")
+            self._m_download["gone"].inc()
             return None
         if item.magnet_only:
-            self._m_downloads.inc(result="magnet_only")
+            self._m_download["magnet_only"].inc()
             return None
-        self._m_downloads.inc(result="ok")
+        self._m_download["ok"].inc()
         return item.torrent_bytes
 
     def get_magnet(self, torrent_id: int, now: float) -> Optional[str]:
         """The item's magnet URI (None if removed or never published one)."""
         item = self._require(torrent_id)
         if not self._visible(item, now):
-            self._m_magnets.inc(result="gone")
+            self._m_magnet["gone"].inc()
             return None
         if item.magnet_uri is None:
-            self._m_magnets.inc(result="absent")
+            self._m_magnet["absent"].inc()
             return None
-        self._m_magnets.inc(result="ok")
+        self._m_magnet["ok"].inc()
         return item.magnet_uri
 
     def content_page(self, torrent_id: int, now: float) -> Optional[ContentPage]:

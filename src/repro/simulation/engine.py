@@ -11,18 +11,15 @@ The scheduler is instrumented through a
 :class:`~repro.observability.MetricsRegistry`:
 
 - ``engine.events_run`` (counter, sim): callbacks executed;
-- ``engine.heap_depth`` (histogram, sim): pending-queue depth sampled at
-  every pop -- the campaign's backlog profile.  Observed every
-  ``sim_sample_interval``-th event (registry knob, default 1 = exact; a
-  sim-domain instrument feeds the deterministic snapshot, so thinning it
-  is opt-in);
+- ``engine.heap_depth`` (histogram, sim): pending-queue depth observed at
+  every pop -- the campaign's backlog profile;
 - ``engine.sim_time_minutes`` (gauge, sim): the clock after the last run;
 - ``engine.callback_wall_ms`` (histogram, wall, labeled by callback):
   real time spent inside each callback kind -- the "where does campaign
   time go?" number.  Wall timings are inherently nondeterministic and are
   excluded from deterministic snapshots, so they are sampled 1-in-
-  ``wall_sample_interval`` (default 16): ``perf_counter`` is no longer
-  called twice per event, only twice per sampled event.
+  :data:`WALL_SAMPLE_INTERVAL`: ``perf_counter`` is not called twice per
+  event, only twice per sampled event.
 """
 
 from __future__ import annotations
@@ -33,8 +30,11 @@ import math
 import time as _time
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.simulation.clock import Clock
+
+# One callback in this many is wall-timed into ``engine.callback_wall_ms``.
+WALL_SAMPLE_INTERVAL = 16
 
 
 def _callback_label(callback: Callable[..., None]) -> str:
@@ -53,7 +53,7 @@ class EventScheduler:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.clock = clock if clock is not None else Clock()
-        self.metrics = metrics if metrics is not None else get_default_registry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
         self._events_run = 0
@@ -61,12 +61,8 @@ class EventScheduler:
         self._m_depth = self.metrics.histogram("engine.heap_depth").labels()
         self._m_sim_time = self.metrics.gauge("engine.sim_time_minutes").labels()
         self._m_callback = self.metrics.histogram("engine.callback_wall_ms", wall=True)
-        # Bound per-callback-label handles, resolved once per callback kind.
-        self._callback_handles: dict = {}
-        self._wall_interval = self.metrics.wall_sample_interval
-        self._sim_interval = self.metrics.sim_sample_interval
+        self._wall_interval = WALL_SAMPLE_INTERVAL
         self._wall_tick = 0
-        self._sim_tick = 0
 
     @property
     def events_run(self) -> int:
@@ -102,10 +98,7 @@ class EventScheduler:
 
     def _dispatch(self, time: float, callback: Callable[..., None], args: tuple) -> None:
         """Advance the clock, run one callback, account for it."""
-        self._sim_tick += 1
-        if self._sim_tick >= self._sim_interval:
-            self._sim_tick = 0
-            self._m_depth.observe(len(self._heap) + 1)
+        self._m_depth.observe(len(self._heap) + 1)
         self.clock.advance_to(time)
         self._wall_tick += 1
         if self._wall_tick >= self._wall_interval:
@@ -113,13 +106,9 @@ class EventScheduler:
             started = _time.perf_counter()
             callback(*args)
             elapsed_ms = (_time.perf_counter() - started) * 1000.0
-            label = _callback_label(callback)
-            handle = self._callback_handles.get(label)
-            if handle is None:
-                handle = self._callback_handles[label] = self._m_callback.labels(
-                    callback=label
-                )
-            handle.observe(elapsed_ms)
+            self._m_callback.labels(callback=_callback_label(callback)).observe(
+                elapsed_ms
+            )
         else:
             callback(*args)
         self._events_run += 1

@@ -23,7 +23,6 @@ from typing import Optional
 
 from repro.agents.population import PopulationConfig
 from repro.dht.network import DhtConfig
-from repro.observability import MetricsRegistry
 from repro.tracker import TrackerConfig
 
 # Discovery channels a campaign can use to find peers (ISSUE 2).
@@ -88,14 +87,6 @@ class ScenarioConfig:
     # "tracker down" degradation scenario.
     tracker_enabled: bool = True
     dht: DhtConfig = field(default_factory=DhtConfig)
-    # Observability: campaigns built from this config send their telemetry
-    # here.  None means "whatever the entry point injects" (run_measurement
-    # creates a fresh registry per run; bare World.build falls back to the
-    # process-global default).  Excluded from equality so configs still
-    # compare by their scientific parameters alone.
-    metrics: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.window_days <= 0 or self.post_window_days < 0:

@@ -41,7 +41,7 @@ from repro.agents.profiles import IpPolicy, PromoPlacement, PublisherClass
 from repro.dht import DhtNetwork
 from repro.geoip import AddressPlan, GeoIpDatabase, default_isp_profiles
 from repro.geoip.isps import IspKind
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.portal import Portal, PortalConfig
 from repro.portal.categories import Category
 from repro.simulation.clock import DAY, HOUR
@@ -92,9 +92,6 @@ class WorldTruth:
     username_to_agent: Dict[str, int] = field(default_factory=dict)
     agent_class: Dict[int, PublisherClass] = field(default_factory=dict)
 
-    def torrents_of_class(self, cls: PublisherClass) -> List[TorrentTruth]:
-        return [t for t in self.torrents if t.publisher_class is cls]
-
 
 @dataclass
 class _PlannedPublication:
@@ -126,7 +123,7 @@ class World:
         self.portal = portal
         self.population = population
         self.dht = dht
-        self.metrics = metrics if metrics is not None else get_default_registry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.truth = WorldTruth()
         self._swarms_by_torrent_id: Dict[int, Swarm] = {}
         self._num_pieces_by_torrent_id: Dict[int, int] = {}
@@ -142,9 +139,7 @@ class World:
         seed: int,
         metrics: Optional[MetricsRegistry] = None,
     ) -> "World":
-        registry = metrics if metrics is not None else config.metrics
-        if registry is None:
-            registry = get_default_registry()
+        registry = metrics if metrics is not None else MetricsRegistry()
         master = random.Random(seed)
         plan_rng = random.Random(master.getrandbits(64))
         pop_rng = random.Random(master.getrandbits(64))
@@ -180,9 +175,9 @@ class World:
             metrics=registry,
             dht=dht,
         )
-        registry.gauge("world.agents").set(len(population.agents))
+        registry.gauge("world.agents").labels().set(len(population.agents))
         world._generate(workload_rng)
-        registry.gauge("world.torrents").set(portal.num_items)
+        registry.gauge("world.torrents").labels().set(portal.num_items)
         return world
 
     @property

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.swarm.peer import PeerSession
 
 
@@ -86,9 +86,13 @@ def generate_downloader_sessions(
     (labeled ``kind=fake|aborted|seeder|hit_and_run``) and the suppressed-
     by-moderation count feeds ``swarm.arrivals_suppressed``.
     """
-    registry = metrics if metrics is not None else get_default_registry()
+    registry = metrics if metrics is not None else MetricsRegistry()
     generated = registry.counter("swarm.sessions_generated")
-    suppressed = registry.counter("swarm.arrivals_suppressed")
+    fake = generated.labels(kind="fake")
+    aborted = generated.labels(kind="aborted")
+    seeder = generated.labels(kind="seeder")
+    hit_and_run = generated.labels(kind="hit_and_run")
+    suppressed = registry.counter("swarm.arrivals_suppressed").labels()
     sessions: List[PeerSession] = []
     for _ in range(popularity.total_downloads):
         offset = rng.expovariate(1.0 / popularity.decay_tau)
@@ -101,7 +105,7 @@ def generate_downloader_sessions(
 
         if behavior.fake_content:
             # Disappointed victim: partial download, quick exit, no seeding.
-            generated.inc(kind="fake")
+            fake.inc()
             linger = rng.expovariate(1.0 / behavior.mean_fake_linger_minutes)
             sessions.append(
                 PeerSession(
@@ -117,7 +121,7 @@ def generate_downloader_sessions(
         download = max(rng.expovariate(1.0 / behavior.mean_download_minutes), 2.0)
         if rng.random() < behavior.abort_probability:
             # Leaves before completing, uniformly within the download.
-            generated.inc(kind="aborted")
+            aborted.inc()
             leave = join + download * rng.uniform(0.05, 0.95)
             sessions.append(
                 PeerSession(
@@ -132,12 +136,12 @@ def generate_downloader_sessions(
 
         complete = join + download
         if rng.random() < behavior.seed_probability:
-            generated.inc(kind="seeder")
+            seeder.inc()
             seed_for = rng.expovariate(1.0 / behavior.mean_seed_minutes)
             leave = complete + seed_for
         else:
             # Hit-and-run: leave almost immediately after completing.
-            generated.inc(kind="hit_and_run")
+            hit_and_run.inc()
             leave = complete + rng.uniform(0.5, 5.0)
         sessions.append(
             PeerSession(

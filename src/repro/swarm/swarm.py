@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.swarm.peer import PeerSession
 
 
@@ -47,7 +47,7 @@ class Swarm:
             raise ValueError(f"infohash must be 20 bytes, got {len(infohash)}")
         self.infohash = infohash
         self.birth_time = birth_time
-        registry = metrics if metrics is not None else get_default_registry()
+        registry = metrics if metrics is not None else MetricsRegistry()
         # Aggregated across all swarms of the run: arrivals/departures/seeder
         # flips as the tracker's monotonic queries sweep each timeline.
         self._m_arrivals = registry.counter("swarm.arrivals").labels()
@@ -92,10 +92,6 @@ class Swarm:
             key=lambda s: s.complete_time,  # type: ignore[arg-type, return-value]
         )
         self._by_leave = sorted(self._sessions, key=lambda s: s.leave_time)
-
-    @property
-    def total_sessions(self) -> int:
-        return len(self._sessions)
 
     @property
     def all_sessions(self) -> List[PeerSession]:
@@ -209,9 +205,6 @@ class Swarm:
         return [
             s for s in self._sessions if s.join_time <= t < s.leave_time
         ]
-
-    def seeders_at(self, t: float) -> int:
-        return sum(1 for s in self.sessions_at(t) if s.is_seeder_at(t))
 
     def peak_population(self, resolution: float = 60.0) -> int:
         """Maximum instantaneous population, scanned at ``resolution`` minutes."""

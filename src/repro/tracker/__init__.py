@@ -12,6 +12,7 @@ from repro.tracker.protocol import (
     AnnounceResponse,
     ScrapeResponse,
     TrackerError,
+    WireRoundTripError,
     decode_announce_response,
     decode_scrape_response,
     peer_port_for_ip,
@@ -23,6 +24,7 @@ __all__ = [
     "AnnounceResponse",
     "ScrapeResponse",
     "TrackerError",
+    "WireRoundTripError",
     "decode_announce_response",
     "decode_scrape_response",
     "peer_port_for_ip",

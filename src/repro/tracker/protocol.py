@@ -24,6 +24,14 @@ class TrackerError(RuntimeError):
     """A failure response from the tracker (or malformed tracker bytes)."""
 
 
+class WireRoundTripError(TrackerError):
+    """A sampled response did not survive the codec round trip unchanged.
+
+    This is a defect in the codec, not a tracker reply: callers that treat
+    :class:`TrackerError` as a failed announce must let it propagate.
+    """
+
+
 @dataclass(frozen=True)
 class AnnounceRequest:
     """One announce as the tracker receives it."""

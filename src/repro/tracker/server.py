@@ -17,20 +17,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.swarm import Swarm
 from repro.tracker.protocol import (
     AnnounceRequest,
     AnnounceResponse,
     TrackerError,
+    WireRoundTripError,
     decode_announce_response,
     encode_announce_success,
     encode_failure,
     encode_scrape_response,
     peer_port_for_ip,
 )
+
+# Sampled wire mode round-trips one object-path response in this many
+# through the codec.
+WIRE_SAMPLE_INTERVAL = 64
 
 
 @dataclass(frozen=True)
@@ -49,12 +54,11 @@ class TrackerConfig:
     # Wire fidelity.  "full" serialises every announce through the bencode
     # codec, exactly as the real HTTP tracker protocol would.  "sampled"
     # hands the in-process crawler :class:`AnnounceResponse` objects and
-    # only round-trips 1-in-``wire_sample_interval`` responses through the
-    # codec, asserting the round trip is lossless each time -- the policy
+    # only round-trips 1-in-``WIRE_SAMPLE_INTERVAL`` responses through the
+    # codec, checking the round trip is lossless each time -- the policy
     # outcome (peers, counts, intervals, rng stream) is identical either
     # way, only the serialisation work is skipped.
     wire_fidelity: str = "full"
-    wire_sample_interval: int = 64
 
     def __post_init__(self) -> None:
         if self.max_numwant < 1:
@@ -70,8 +74,6 @@ class TrackerConfig:
                 f"wire_fidelity must be 'full' or 'sampled', "
                 f"got {self.wire_fidelity!r}"
             )
-        if self.wire_sample_interval < 1:
-            raise ValueError("wire_sample_interval must be >= 1")
 
 
 class Tracker:
@@ -91,17 +93,11 @@ class Tracker:
         self._last_announce: Dict[Tuple[int, bytes], float] = {}
         self._violations: Dict[int, int] = {}
         self._blacklist: Set[int] = set()
-        self.announces_served = 0
-        self.announces_rejected = 0
         self._wire_counter = 0  # object-path announces since the last sample
         self.wire_samples_checked = 0
-        self.metrics = metrics if metrics is not None else get_default_registry()
-        announces = self.metrics.counter("tracker.announces")
-        self._m_announces = announces
-        self._m_announces_served = announces.labels(result="served")
-        # One bound handle per rejection kind; resolved lazily in _reject so
-        # unexercised outcomes never appear in the bound cache.
-        self._m_announce_results: Dict[str, Any] = {}
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._m_announces = self.metrics.counter("tracker.announces")
+        self._m_served = self._m_announces.labels(result="served")
         self._m_scrapes = self.metrics.counter("tracker.scrapes").labels()
         self._m_swarms = self.metrics.gauge("tracker.swarms").labels()
         self._m_response_bytes = self.metrics.histogram(
@@ -111,17 +107,8 @@ class Tracker:
             "tracker.clients_blacklisted"
         ).labels()
 
-    def _result_handle(self, reason: str):
-        handle = self._m_announce_results.get(reason)
-        if handle is None:
-            handle = self._m_announce_results[reason] = self._m_announces.labels(
-                result=reason
-            )
-        return handle
-
     def _reject(self, reason: str, response: bytes) -> bytes:
-        self.announces_rejected += 1
-        self._result_handle(reason).inc()
+        self._m_announces.labels(result=reason).inc()
         self._m_response_bytes.observe(len(response))
         return response
 
@@ -213,8 +200,7 @@ class Tracker:
         outcome, payload = self._policy(request, now)
         if outcome != "served":
             return self._reject(outcome, encode_failure(payload))
-        self.announces_served += 1
-        self._m_announces_served.inc()
+        self._m_served.inc()
         response = encode_announce_success(
             interval_seconds=payload.interval_seconds,
             seeders=payload.seeders,
@@ -230,25 +216,24 @@ class Tracker:
         Policy, counters and the ``tracker.announces`` metric behave exactly
         as :meth:`announce`; rejections raise :class:`TrackerError` with the
         same failure message the byte path would encode.  Every
-        ``wire_sample_interval``-th message is additionally round-tripped
-        through the real codec and asserted lossless, keeping the wire format
+        ``WIRE_SAMPLE_INTERVAL``-th message is additionally round-tripped
+        through the real codec and checked lossless (raising
+        :class:`WireRoundTripError` otherwise), keeping the wire format
         continuously exercised.  ``tracker.response_bytes`` is only observed
         for sampled messages (it is a wall-independent histogram, so sampled
         runs intentionally opt out of byte-path metric parity).
         """
         outcome, payload = self._policy(request, now)
         self._wire_counter += 1
-        sample = self._wire_counter >= self.config.wire_sample_interval
+        sample = self._wire_counter >= WIRE_SAMPLE_INTERVAL
         if sample:
             self._wire_counter = 0
         if outcome != "served":
-            self.announces_rejected += 1
-            self._result_handle(outcome).inc()
+            self._m_announces.labels(result=outcome).inc()
             if sample:
                 self._check_failure_roundtrip(payload)
             raise TrackerError(payload)
-        self.announces_served += 1
-        self._m_announces_served.inc()
+        self._m_served.inc()
         if sample:
             self._check_success_roundtrip(payload)
         return payload
@@ -260,11 +245,11 @@ class Tracker:
             decode_announce_response(wire)
         except TrackerError as exc:
             if str(exc) != message:
-                raise AssertionError(
+                raise WireRoundTripError(
                     f"lossy failure round-trip: {message!r} -> {exc!r}"
-                )
+                ) from exc
         else:
-            raise AssertionError(
+            raise WireRoundTripError(
                 f"failure response decoded as success: {message!r}"
             )
         self.wire_samples_checked += 1
@@ -279,7 +264,7 @@ class Tracker:
         self._m_response_bytes.observe(len(wire))
         decoded = decode_announce_response(wire)
         if decoded != response:
-            raise AssertionError(
+            raise WireRoundTripError(
                 f"lossy announce round-trip: {response!r} -> {decoded!r}"
             )
         self.wire_samples_checked += 1

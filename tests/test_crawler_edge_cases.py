@@ -112,3 +112,22 @@ class TestMonitoringTermination:
         assert stopped_early
         for record in stopped_early:
             assert record.empty_streak >= 3 or record.num_queries == 0
+
+
+class TestWireSelfCheck:
+    def test_lossy_roundtrip_is_not_an_announce_failure(self, monkeypatch):
+        """A failed codec self-check is a defect: the crawler must not
+        record it as a failed announce and carry on."""
+        from repro.tracker import WireRoundTripError, server
+
+        monkeypatch.setattr(server, "WIRE_SAMPLE_INTERVAL", 1)
+        monkeypatch.setattr(server, "decode_announce_response", lambda wire: None)
+        base = tiny_scenario("lossy-wire")
+        config = dataclasses.replace(
+            base,
+            tracker=dataclasses.replace(base.tracker, wire_fidelity="sampled"),
+            window_days=0.5,
+            post_window_days=0.5,
+        )
+        with pytest.raises(WireRoundTripError):
+            _crawl(config)

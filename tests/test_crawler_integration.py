@@ -166,3 +166,40 @@ class TestDatasetAccessors:
 
     def test_analysis_time_after_window(self, dataset):
         assert dataset.analysis_time >= dataset.end_time
+
+
+# Measured at seed 7 before the crawler's own tallies were removed; the
+# registry-derived ``crawler_stats`` must repeat them exactly.
+_HALF_DAY = {"window_days": 0.5, "post_window_days": 0.5}
+_CRAWLER_STATS_SEED7 = [
+    ("tiny", {}, {
+        "rss_polls": 865, "announces": 39344, "announce_failures": 0,
+        "probes": 225, "torrents_discovered": 283, "dht_lookups": 0,
+        "magnet_resolutions": 0,
+    }),
+    ("trackerless", _HALF_DAY, {
+        "rss_polls": 73, "announces": 0, "announce_failures": 0,
+        "probes": 130, "torrents_discovered": 135, "dht_lookups": 4270,
+        "magnet_resolutions": 135,
+    }),
+    ("hybrid", _HALF_DAY, {
+        "rss_polls": 73, "announces": 4966, "announce_failures": 0,
+        "probes": 120, "torrents_discovered": 135, "dht_lookups": 3539,
+        "magnet_resolutions": 0,
+    }),
+]
+
+
+class TestCrawlerStatsFromRegistry:
+    @pytest.mark.parametrize(
+        "name, overrides, expected",
+        _CRAWLER_STATS_SEED7,
+        ids=[case[0] for case in _CRAWLER_STATS_SEED7],
+    )
+    def test_crawler_stats_pinned(self, name, overrides, expected):
+        from repro.core import run_measurement
+        from repro.simulation import build_scenario
+
+        dataset = run_measurement(build_scenario(name, **overrides), seed=7)
+        assert dataset.crawler_stats == expected
+        assert all(type(value) is int for value in dataset.crawler_stats.values())

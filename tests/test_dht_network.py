@@ -23,7 +23,7 @@ def build_network(seed=11, metrics=None, **overrides):
     config = DhtConfig(num_nodes=overrides.pop("num_nodes", 64), **overrides)
     return DhtNetwork.build(
         config, seed=seed, rng=random.Random(seed),
-        metrics=metrics or MetricsRegistry(),
+        metrics=metrics if metrics is not None else MetricsRegistry(),
     )
 
 
@@ -165,9 +165,10 @@ class TestIterativeLookup:
         assert run(4) == run(4)
 
     def test_lookup_survives_message_loss(self):
-        network = build_network(message_loss=0.3)
+        registry = MetricsRegistry()
+        network = build_network(metrics=registry, message_loss=0.3)
         network.announce_session(INFOHASH, ip=5, port=1, start=0.0, end=99.0)
-        crawler = self._crawler(network)
+        crawler = DhtCrawler(network, random.Random(21), metrics=registry)
         # A single lookup can die at the bootstraps (no retransmit), so
         # judge over several: replication across k nodes must make the
         # channel usable despite 30% loss.
@@ -175,7 +176,8 @@ class TestIterativeLookup:
             crawler.lookup(INFOHASH, now=10.0).found_peers for _ in range(10)
         )
         assert found >= 5
-        assert crawler.stats.timeouts > 0
+        messages = registry.counter("dht.messages")
+        assert messages.labels(outcome="lost").value() > 0
 
     def test_latency_scales_with_hops(self):
         network = build_network(per_hop_rtt_minutes=0.5)
@@ -190,8 +192,9 @@ class TestIterativeLookup:
         crawler.lookup(INFOHASH, now=10.0)
         snapshot = registry.snapshot(include_wall=False)
         assert snapshot["dht.lookups"]["values"]["outcome=peers"] == 1
+        # Every get_peers query the lookup sent went through the network.
         assert (
             snapshot["dht.lookup_queries"]["values"][""]
-            == crawler.stats.queries_sent
+            == sum(snapshot["dht.messages"]["values"].values())
         )
         assert snapshot["dht.lookup_hops"]["values"][""]["count"] == 1

@@ -125,7 +125,8 @@ class TestMonitor:
     def test_single_tracker_connection_per_torrent(self, monitor_run):
         """Section 7: one connection to the tracker per new torrent."""
         world, monitor = monitor_run
-        assert world.tracker.announces_served <= monitor.publications_seen
+        served = world.metrics.counter("tracker.announces").labels(result="served")
+        assert served.value() <= monitor.publications_seen
 
     def test_flag_fake_flows_to_queries(self, monitor_run):
         _world, monitor = monitor_run

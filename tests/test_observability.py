@@ -1,11 +1,13 @@
 """Unit tests for the observability layer itself.
 
 Histogram quantiles are checked against known distributions, labels against
-the usual split/aggregate semantics, snapshots against mutation leaks, and
-the trace ring buffer against its overflow contract.
+the usual split/aggregate semantics, snapshots against mutation leaks,
+components built without a registry against shared state, and the trace
+ring buffer against its overflow contract.
 """
 
 import json
+import random
 
 import pytest
 
@@ -14,17 +16,16 @@ from repro.observability import (
     merge_snapshots,
     MetricsRegistry,
     TraceBuffer,
-    get_default_registry,
-    scoped_registry,
-    set_default_registry,
 )
 from repro.simulation.clock import Clock
+from repro.simulation.engine import EventScheduler
+from repro.tracker import AnnounceRequest, Tracker
 
 
 class TestCounter:
     def test_basic_increment(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c")
+        counter = registry.counter("c").labels()
         counter.inc()
         counter.inc(2.5)
         assert counter.value() == 3.5
@@ -32,25 +33,25 @@ class TestCounter:
     def test_labels_split_values(self):
         registry = MetricsRegistry()
         counter = registry.counter("announces")
-        counter.inc(outcome="ok")
-        counter.inc(outcome="ok")
-        counter.inc(outcome="failure")
-        assert counter.value(outcome="ok") == 2
-        assert counter.value(outcome="failure") == 1
-        assert counter.value(outcome="missing") == 0
+        counter.labels(outcome="ok").inc()
+        counter.labels(outcome="ok").inc()
+        counter.labels(outcome="failure").inc()
+        assert counter.labels(outcome="ok").value() == 2
+        assert counter.labels(outcome="failure").value() == 1
+        assert counter.labels(outcome="missing").value() == 0
         assert counter.total() == 3
 
     def test_label_order_is_irrelevant(self):
         registry = MetricsRegistry()
         counter = registry.counter("c")
-        counter.inc(a=1, b=2)
-        counter.inc(b=2, a=1)
-        assert counter.value(a=1, b=2) == 2
+        counter.labels(a=1, b=2).inc()
+        counter.labels(b=2, a=1).inc()
+        assert counter.labels(a=1, b=2).value() == 2
 
     def test_negative_increment_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(MetricsError, match="cannot decrease"):
-            registry.counter("c").inc(-1)
+            registry.counter("c").labels().inc(-1)
 
     def test_same_instrument_returned(self):
         registry = MetricsRegistry()
@@ -69,18 +70,18 @@ class TestGauge:
     def test_set_add_value(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("depth")
-        gauge.set(10)
-        gauge.add(-3)
-        assert gauge.value() == 7
-        gauge.set(2, shard="a")
-        assert gauge.value(shard="a") == 2
-        assert gauge.value() == 7  # unlabeled value untouched
+        gauge.labels().set(10)
+        gauge.labels().add(-3)
+        assert gauge.labels().value() == 7
+        gauge.labels(shard="a").set(2)
+        assert gauge.labels(shard="a").value() == 2
+        assert gauge.labels().value() == 7  # unlabeled value untouched
 
 
 class TestHistogram:
     def test_quantiles_uniform_known(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h")
+        histogram = registry.histogram("h").labels()
         for value in range(1, 101):  # 1..100 uniformly
             histogram.observe(value)
         summary = histogram.summary()
@@ -94,7 +95,7 @@ class TestHistogram:
 
     def test_quantiles_constant_distribution(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h")
+        histogram = registry.histogram("h").labels()
         for _ in range(1000):
             histogram.observe(42.0)
         summary = histogram.summary()
@@ -104,7 +105,7 @@ class TestHistogram:
     def test_quantiles_survive_decimation(self):
         """Exact count/sum and ~exact quantiles with bounded sample memory."""
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", max_samples=256)
+        histogram = registry.histogram("h", max_samples=256).labels()
         n = 100_000
         for value in range(n):
             histogram.observe(value)
@@ -119,17 +120,18 @@ class TestHistogram:
     def test_labels(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("h")
-        histogram.observe(1.0, phase="a")
-        histogram.observe(3.0, phase="a")
-        histogram.observe(100.0, phase="b")
-        assert histogram.count(phase="a") == 2
-        assert histogram.summary(phase="a")["mean"] == 2.0
-        assert histogram.summary(phase="b")["max"] == 100.0
-        assert histogram.summary()["count"] == 0  # unlabeled is its own series
+        histogram.labels(phase="a").observe(1.0)
+        histogram.labels(phase="a").observe(3.0)
+        histogram.labels(phase="b").observe(100.0)
+        assert histogram.labels(phase="a").count() == 2
+        assert histogram.labels(phase="a").summary()["mean"] == 2.0
+        assert histogram.labels(phase="b").summary()["max"] == 100.0
+        # The unlabeled series is its own series.
+        assert histogram.labels().summary()["count"] == 0
 
     def test_empty_summary(self):
         registry = MetricsRegistry()
-        assert registry.histogram("h").summary() == {"count": 0}
+        assert registry.histogram("h").labels().summary() == {"count": 0}
 
 
 class TestTimers:
@@ -138,7 +140,7 @@ class TestTimers:
         clock = Clock()
         with registry.sim_timer("span_minutes", clock, stage="crawl"):
             clock.advance_to(12.5)
-        summary = registry.histogram("span_minutes").summary(stage="crawl")
+        summary = registry.histogram("span_minutes").labels(stage="crawl").summary()
         assert summary["count"] == 1
         assert summary["sum"] == pytest.approx(12.5)
 
@@ -147,7 +149,7 @@ class TestTimers:
         with registry.timer("elapsed_ms"):
             pass
         assert registry.histogram("elapsed_ms").wall is True
-        assert registry.histogram("elapsed_ms").count() == 1
+        assert registry.histogram("elapsed_ms").labels().count() == 1
         # Wall instruments vanish from deterministic snapshots.
         assert "elapsed_ms" not in registry.snapshot(include_wall=False)
         assert "elapsed_ms" in registry.snapshot(include_wall=True)
@@ -156,9 +158,9 @@ class TestTimers:
 class TestSnapshot:
     def _populated(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc(outcome="ok")
-        registry.gauge("g").set(5)
-        registry.histogram("h").observe(1.0)
+        registry.counter("c").labels(outcome="ok").inc()
+        registry.gauge("g").labels().set(5)
+        registry.histogram("h").labels().observe(1.0)
         with registry.timer("w"):
             pass
         return registry
@@ -169,8 +171,8 @@ class TestSnapshot:
         snapshot = registry.snapshot()
         snapshot["c"]["values"]["outcome=ok"] = 999
         snapshot["h"]["values"][""]["count"] = 999
-        assert registry.counter("c").value(outcome="ok") == 1
-        assert registry.histogram("h").count() == 1
+        assert registry.counter("c").labels(outcome="ok").value() == 1
+        assert registry.histogram("h").labels().count() == 1
         fresh = registry.snapshot()
         assert fresh["c"]["values"]["outcome=ok"] == 1
 
@@ -233,24 +235,25 @@ class TestTraceBuffer:
         assert buffer.recorded == 0
 
 
-class TestDefaultRegistry:
-    def test_scoped_registry_swaps_and_restores(self):
-        original = get_default_registry()
-        replacement = MetricsRegistry()
-        with scoped_registry(replacement) as active:
-            assert active is replacement
-            assert get_default_registry() is replacement
-        assert get_default_registry() is original
+class TestNoSharedRegistry:
+    """A component built without a registry records into a private one:
+    two such components never see each other's counts."""
 
-    def test_set_default_returns_previous(self):
-        original = get_default_registry()
-        replacement = MetricsRegistry()
-        previous = set_default_registry(replacement)
-        try:
-            assert previous is original
-            assert get_default_registry() is replacement
-        finally:
-            set_default_registry(original)
+    def test_trackers_without_registry_share_no_state(self):
+        first = Tracker("http://a.sim/announce", random.Random(0))
+        second = Tracker("http://b.sim/announce", random.Random(0))
+        assert first.metrics is not second.metrics
+        first.announce(AnnounceRequest(infohash=b"\x01" * 20, client_ip=1), 1.0)
+        assert first.metrics.counter("tracker.announces").total() == 1
+        assert second.metrics.counter("tracker.announces").total() == 0
+        assert "tracker.announces" not in MetricsRegistry()
+
+    def test_schedulers_without_registry_share_no_state(self):
+        first, second = EventScheduler(), EventScheduler()
+        first.schedule(1.0, lambda: None)
+        first.run_until(2.0)
+        assert first.metrics.counter("engine.events_run").total() == 1
+        assert second.metrics.counter("engine.events_run").total() == 0
 
 
 class TestMergeSnapshots:
@@ -261,9 +264,9 @@ class TestMergeSnapshots:
     def _worker_snapshot(counter_by_label, histogram_samples):
         registry = MetricsRegistry()
         for label_kwargs, amount in counter_by_label:
-            registry.counter("jobs").inc(amount, **label_kwargs)
+            registry.counter("jobs").labels(**label_kwargs).inc(amount)
         for value in histogram_samples:
-            registry.histogram("latency").observe(value)
+            registry.histogram("latency").labels().observe(value)
         return registry.snapshot(include_wall=False, include_samples=True)
 
     def test_counters_sum_per_label(self):
@@ -276,8 +279,8 @@ class TestMergeSnapshots:
 
     def test_gauges_sum(self):
         registries = [MetricsRegistry(), MetricsRegistry()]
-        registries[0].gauge("inflight").set(3.0)
-        registries[1].gauge("inflight").set(4.0)
+        registries[0].gauge("inflight").labels().set(3.0)
+        registries[1].gauge("inflight").labels().set(4.0)
         merged = merge_snapshots([r.snapshot() for r in registries])
         assert merged["inflight"]["values"][""] == 7.0
 
@@ -298,7 +301,7 @@ class TestMergeSnapshots:
 
     def test_quantiles_dropped_without_samples(self):
         registry = MetricsRegistry()
-        registry.histogram("latency").observe(5.0)
+        registry.histogram("latency").labels().observe(5.0)
         sampleless = registry.snapshot(include_samples=False)
         merged = merge_snapshots([sampleless, sampleless])
         pooled = merged["latency"]["values"][""]
@@ -307,9 +310,9 @@ class TestMergeSnapshots:
 
     def test_type_conflict_raises(self):
         first = MetricsRegistry()
-        first.counter("thing").inc()
+        first.counter("thing").labels().inc()
         second = MetricsRegistry()
-        second.gauge("thing").set(1.0)
+        second.gauge("thing").labels().set(1.0)
         with pytest.raises(MetricsError, match="thing"):
             merge_snapshots([first.snapshot(), second.snapshot()])
 
@@ -337,17 +340,18 @@ class TestMergeSnapshots:
 
 
 class TestBoundHandles:
-    """``labels(**labels)`` handles must share state with the kwargs API --
-    they are a call-overhead optimisation, never a separate namespace."""
+    """``labels(**labels)`` binds one label set; every read and write goes
+    through the handle, and handles of one label set share one value."""
 
-    def test_counter_handle_shares_state_with_kwargs(self):
+    def test_counter_handles_share_state_per_label_set(self):
         registry = MetricsRegistry()
         counter = registry.counter("c")
         handle = counter.labels(result="ok")
         handle.inc()
-        counter.inc(2.0, result="ok")
+        counter.labels(result="ok").inc(2.0)
+        counter.labels(result="failure").inc()
         assert handle.value() == 3.0
-        assert counter.value(result="ok") == 3.0
+        assert counter.total() == 4.0
 
     def test_counter_handle_is_cached(self):
         counter = MetricsRegistry().counter("c")
@@ -365,41 +369,39 @@ class TestBoundHandles:
         handle.set(5)
         handle.add(2)
         assert handle.value() == 7.0
-        assert gauge.value(kind="depth") == 7.0
-        gauge.set(1.0, kind="depth")
+        gauge.labels(kind="depth").set(1.0)
         assert handle.value() == 1.0
 
-    def test_histogram_handle_shares_state_with_kwargs(self):
+    def test_histogram_handles_share_state_per_label_set(self):
         histogram = MetricsRegistry().histogram("h")
         handle = histogram.labels(stage="crawl")
         handle.observe(1.0)
-        histogram.observe(3.0, stage="crawl")
+        histogram.labels(stage="crawl").observe(3.0)
         handle.observe(5.0)
         assert handle.count() == 3
-        summary = histogram.summary(stage="crawl")
+        summary = handle.summary()
         assert summary["count"] == 3
         assert summary["sum"] == 9.0
 
     def test_unobserved_histogram_handle_absent_from_snapshot(self):
         # Binding must be lazy: a handle that never observes must not leak
-        # a `count: 0` series into snapshots (bit-identity with kwargs API).
+        # a `count: 0` series into snapshots.
         registry = MetricsRegistry()
         histogram = registry.histogram("h")
         histogram.labels(stage="never_used")
-        histogram.observe(1.0, stage="used")
+        histogram.labels(stage="used").observe(1.0)
         series = registry.snapshot()["h"]["values"]
         assert list(series) == ["stage=used"]
+
+    def test_unwritten_counter_and_gauge_handles_absent_from_snapshot(self):
+        registry = MetricsRegistry()
+        registry.counter("c").labels(outcome="never_used")
+        registry.gauge("g").labels(kind="never_used")
+        snapshot = registry.snapshot()
+        assert snapshot["c"]["values"] == {}
+        assert snapshot["g"]["values"] == {}
 
     def test_label_order_irrelevant_for_handles(self):
         counter = MetricsRegistry().counter("c")
         counter.labels(a="1", b="2").inc()
         assert counter.labels(b="2", a="1").value() == 1.0
-
-    def test_registry_sampling_knob_validation(self):
-        with pytest.raises(MetricsError):
-            MetricsRegistry(wall_sample_interval=0)
-        with pytest.raises(MetricsError):
-            MetricsRegistry(sim_sample_interval=0)
-        registry = MetricsRegistry(wall_sample_interval=4, sim_sample_interval=2)
-        assert registry.wall_sample_interval == 4
-        assert registry.sim_sample_interval == 2

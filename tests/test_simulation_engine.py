@@ -149,18 +149,21 @@ class TestSchedulerMetrics:
         for i in range(4):
             scheduler.schedule(float(i), lambda: None)
         scheduler.run_until(10.0)
-        assert registry.counter("engine.events_run").value() == 4
-        assert registry.histogram("engine.heap_depth").count() == 4
+        assert registry.counter("engine.events_run").labels().value() == 4
+        depth = registry.histogram("engine.heap_depth").labels()
+        assert depth.count() == 4
         # Depth was 4 when the first event popped, then 3, 2, 1.
-        assert registry.histogram("engine.heap_depth").summary()["max"] == 4
-        assert registry.gauge("engine.sim_time_minutes").value() == 10.0
+        assert depth.summary()["max"] == 4
+        assert registry.gauge("engine.sim_time_minutes").labels().value() == 10.0
 
-    def test_callback_wall_timing_labeled(self):
+    def test_callback_wall_timing_labeled(self, monkeypatch):
         from repro.observability import MetricsRegistry
+        from repro.simulation import engine
 
-        # wall_sample_interval=1 times every callback (the pre-sampling
-        # behaviour); the default of 16 is covered separately below.
-        registry = MetricsRegistry(wall_sample_interval=1)
+        # An interval of 1 times every callback; the default of 16 is
+        # covered separately below.
+        monkeypatch.setattr(engine, "WALL_SAMPLE_INTERVAL", 1)
+        registry = MetricsRegistry()
         scheduler = EventScheduler(metrics=registry)
 
         def named_callback():
@@ -172,12 +175,12 @@ class TestSchedulerMetrics:
         histogram = registry.histogram("engine.callback_wall_ms")
         assert histogram.wall is True
         label = "TestSchedulerMetrics.test_callback_wall_timing_labeled.<locals>.named_callback"
-        assert histogram.count(callback=label) == 2
+        assert histogram.labels(callback=label).count() == 2
 
     def test_callback_wall_timing_sampled_by_default(self):
         from repro.observability import MetricsRegistry
 
-        registry = MetricsRegistry()  # default wall_sample_interval=16
+        registry = MetricsRegistry()
         scheduler = EventScheduler(metrics=registry)
 
         def named_callback():
@@ -193,18 +196,6 @@ class TestSchedulerMetrics:
         )
         # 48 events at 1-in-16 -> exactly 3 wall observations; every event
         # still counts in the sim-domain instruments.
-        assert histogram.count(callback=label) == 3
-        assert registry.counter("engine.events_run").value() == 48
-        assert registry.histogram("engine.heap_depth").count() == 48
-
-    def test_heap_depth_sampling_knob(self):
-        from repro.observability import MetricsRegistry
-
-        registry = MetricsRegistry(sim_sample_interval=4)
-        scheduler = EventScheduler(metrics=registry)
-        for i in range(8):
-            scheduler.schedule(float(i), lambda: None)
-        scheduler.run_until(10.0)
-        # Opt-in thinning: 8 events at 1-in-4 -> 2 heap-depth observations.
-        assert registry.histogram("engine.heap_depth").count() == 2
-        assert registry.counter("engine.events_run").value() == 8
+        assert histogram.labels(callback=label).count() == 3
+        assert registry.counter("engine.events_run").labels().value() == 48
+        assert registry.histogram("engine.heap_depth").labels().count() == 48

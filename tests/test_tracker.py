@@ -1,5 +1,6 @@
 """Unit tests for the tracker: protocol codec and server policy."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,10 +12,12 @@ from repro.tracker import (
     Tracker,
     TrackerConfig,
     TrackerError,
+    WireRoundTripError,
     decode_announce_response,
     decode_scrape_response,
     peer_port_for_ip,
 )
+from repro.tracker import server
 from repro.tracker.protocol import (
     encode_announce_success,
     encode_failure,
@@ -213,6 +216,12 @@ class TestWireFidelity:
     same failure messages -- only the per-announce serialisation differs."""
 
     @staticmethod
+    def _announces(tracker, result):
+        return tracker.metrics.counter("tracker.announces").labels(
+            result=result
+        ).value()
+
+    @staticmethod
     def _paired_trackers(**config_kwargs):
         # Same seed, structurally identical swarms: the two trackers see
         # identical rng streams and identical swarm timelines.
@@ -231,8 +240,6 @@ class TestWireFidelity:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="wire_fidelity"):
             TrackerConfig(wire_fidelity="compressed")
-        with pytest.raises(ValueError, match="wire_sample_interval"):
-            TrackerConfig(wire_sample_interval=0)
 
     def test_served_responses_identical(self):
         full, sampled = self._paired_trackers()
@@ -244,7 +251,8 @@ class TestWireFidelity:
             from_bytes = decode_announce_response(full.announce(request, now))
             from_object = sampled.announce_object(request, now)
             assert from_object == from_bytes
-        assert full.announces_served == sampled.announces_served == 8
+        assert self._announces(full, "served") == 8
+        assert self._announces(sampled, "served") == 8
 
     def test_rejections_raise_with_byte_path_message(self):
         full, sampled = self._paired_trackers()
@@ -254,7 +262,8 @@ class TestWireFidelity:
         with pytest.raises(TrackerError) as from_object:
             sampled.announce_object(unknown, 1.0)
         assert str(from_object.value) == str(from_bytes.value)
-        assert full.announces_rejected == sampled.announces_rejected == 1
+        assert self._announces(full, "rejected_unknown") == 1
+        assert self._announces(sampled, "rejected_unknown") == 1
 
     def test_rate_limit_parity(self):
         full, sampled = self._paired_trackers(min_interval=10.0)
@@ -293,8 +302,9 @@ class TestWireFidelity:
         )
         assert full_outcomes == sampled_outcomes
 
-    def test_every_message_checked_at_interval_one(self):
-        _, sampled = self._paired_trackers(wire_sample_interval=1)
+    def test_every_message_checked_at_interval_one(self, monkeypatch):
+        monkeypatch.setattr(server, "WIRE_SAMPLE_INTERVAL", 1)
+        _, sampled = self._paired_trackers()
         for step in range(5):
             sampled.announce_object(
                 AnnounceRequest(infohash=IH, client_ip=CLIENT + step), 1.0 + step
@@ -305,16 +315,18 @@ class TestWireFidelity:
             )
         assert sampled.wire_samples_checked == 6
 
-    def test_sampling_interval_respected(self):
-        _, sampled = self._paired_trackers(wire_sample_interval=4)
+    def test_sampling_interval_respected(self, monkeypatch):
+        monkeypatch.setattr(server, "WIRE_SAMPLE_INTERVAL", 4)
+        _, sampled = self._paired_trackers()
         for step in range(10):
             sampled.announce_object(
                 AnnounceRequest(infohash=IH, client_ip=CLIENT + step), 1.0 + step
             )
         assert sampled.wire_samples_checked == 2  # messages 4 and 8
 
-    def test_byte_path_never_samples(self):
-        full, _ = self._paired_trackers(wire_sample_interval=1)
+    def test_byte_path_never_samples(self, monkeypatch):
+        monkeypatch.setattr(server, "WIRE_SAMPLE_INTERVAL", 1)
+        full, _ = self._paired_trackers()
         for step in range(5):
             full.announce(
                 AnnounceRequest(infohash=IH, client_ip=CLIENT + step), 1.0 + step
@@ -331,7 +343,21 @@ class TestWireFidelity:
         full.announce(unknown, 20.0)
         with pytest.raises(TrackerError):
             sampled.announce_object(unknown, 20.0)
-        full_counts = full.metrics.counter("tracker.announces").value
-        sampled_counts = sampled.metrics.counter("tracker.announces").value
         for result in ("served", "rejected_unknown"):
-            assert full_counts(result=result) == sampled_counts(result=result)
+            assert self._announces(full, result) == self._announces(
+                sampled, result
+            )
+
+    def test_lossy_roundtrip_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(server, "WIRE_SAMPLE_INTERVAL", 1)
+        _, sampled = self._paired_trackers()
+
+        def lossy_decode(wire):
+            response = decode_announce_response(wire)
+            return dataclasses.replace(response, seeders=response.seeders + 1)
+
+        monkeypatch.setattr(server, "decode_announce_response", lossy_decode)
+        request = AnnounceRequest(infohash=IH, client_ip=CLIENT)
+        with pytest.raises(WireRoundTripError, match="lossy announce"):
+            sampled.announce_object(request, 1.0)
+        assert issubclass(WireRoundTripError, TrackerError)
