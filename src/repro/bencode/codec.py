@@ -19,14 +19,19 @@ convenience; decoding always returns ``bytes`` keys/values, as real
 BitTorrent implementations do.
 
 This is the campaign's hottest codec -- every simulated tracker announce
-round-trips through it -- so the implementation is tuned:
+and every KRPC query and reply of a DHT lookup round-trips through it -- so
+the implementation is tuned:
 
 - :func:`bdecode` is non-recursive (an explicit container stack), compares
   single bytes as integers instead of allocating 1-byte slices, and accepts
   ``bytes``/``bytearray``/``memoryview`` without copying the input buffer;
 - :func:`bencode` takes a fast path through dictionaries whose keys are
   already sorted ``bytes`` (the shape every canonical producer in this
-  codebase emits), skipping the str-key normalisation dict entirely.
+  codebase emits, KRPC messages included), skipping the str-key
+  normalisation dict entirely;
+- list items and fast-path dict values that are plain ``bytes`` (compact
+  peer lists, node blobs, ids, tokens) are written inline instead of
+  through a recursive call.
 
 :mod:`repro.bencode.reference` retains the original recursive codec, and
 property tests assert the two agree on every value and on every malformed
@@ -68,7 +73,11 @@ def _encode(value: Encodable, out: List[bytes]) -> None:
     elif isinstance(value, (list, tuple)):
         out.append(b"l")
         for item in value:
-            _encode(item, out)
+            if item.__class__ is bytes:
+                out.append(b"%d:" % len(item))
+                out.append(item)
+            else:
+                _encode(item, out)
         out.append(b"e")
     elif isinstance(value, dict):
         # Fast path: keys already canonical (plain bytes, strictly
@@ -86,7 +95,11 @@ def _encode(value: Encodable, out: List[bytes]) -> None:
         for key, item in value.items():
             out.append(b"%d:" % len(key))
             out.append(key)
-            _encode(item, out)
+            if item.__class__ is bytes:
+                out.append(b"%d:" % len(item))
+                out.append(item)
+            else:
+                _encode(item, out)
         out.append(b"e")
     else:
         raise BencodeError(f"cannot bencode {type(value).__name__}")

@@ -13,6 +13,11 @@ The result object duck-types :class:`repro.tracker.AnnounceResponse`
 lets :func:`repro.core.identification.identify_publisher` and the whole
 analysis pipeline run unchanged on DHT-observed peers.  The seeder/leecher
 split comes from the nodes' simplified BEP 33 scrape counts.
+
+A reply that does not decode -- not bencode, or a ``nodes``/``values`` blob
+of the wrong length -- is treated like a dropped packet: the node stays
+unresponded, nothing from the reply is merged, and the lookup goes on.
+Such replies are counted on ``dht.lookup_bad_replies``.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dht import (
     DhtNetwork,
+    KrpcError,
     KrpcResponse,
     decode_message,
     derive_node_id,
@@ -31,7 +38,6 @@ from repro.dht import (
     node_id_to_bytes,
     unpack_compact_nodes,
     unpack_compact_peers,
-    xor_distance,
 )
 from repro.observability import MetricsRegistry
 
@@ -41,6 +47,8 @@ CRAWLER_DHT_IP = (10 << 24) | (88 << 16) | 1
 CRAWLER_DHT_PORT = 6881
 
 _MAX_ROUNDS = 32
+_TID = struct.Struct(">I")
+_distance = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,7 @@ class _Candidate:
     def distance_to(self, target: int) -> int:
         # Bootstrap entries with unknown ids sort first: they must be
         # queried before any distance ordering exists at all.
-        return -1 if self.node_id is None else xor_distance(self.node_id, target)
+        return -1 if self.node_id is None else self.node_id ^ target
 
 
 class DhtCrawler:
@@ -99,6 +107,7 @@ class DhtCrawler:
         self.rng = rng
         self.client_ip = client_ip
         self.client_id = derive_node_id("repro-dht-crawler", client_ip)
+        self._client_id_bytes = node_id_to_bytes(self.client_id)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         lookups = self.metrics.counter("dht.lookups")
         self._m_lookups_peers = lookups.labels(outcome="peers")
@@ -113,7 +122,7 @@ class DhtCrawler:
 
     def _next_tid(self) -> bytes:
         self._tid_counter += 1
-        return struct.pack(">I", self._tid_counter & 0xFFFFFFFF)
+        return _TID.pack(self._tid_counter & 0xFFFFFFFF)
 
     # ------------------------------------------------------------------
     # The iterative lookup
@@ -185,18 +194,24 @@ class DhtCrawler:
         alpha: int,
     ) -> List[_Candidate]:
         """The next ``alpha`` nodes worth querying, or [] at convergence."""
-        unqueried = [c for c in candidates.values() if not c.queried]
+        unqueried: List[Tuple[int, _Candidate]] = []
+        responded: List[int] = []
+        for c in candidates.values():
+            distance = c.distance_to(target)
+            if not c.queried:
+                unqueried.append((distance, c))
+            elif c.responded:
+                responded.append(distance)
         if not unqueried:
             return []
-        responded = sorted(
-            (c for c in candidates.values() if c.responded),
-            key=lambda c: c.distance_to(target),
-        )
-        unqueried.sort(key=lambda c: c.distance_to(target))
+        # Stable sort on the distance alone: unknown-id bootstrap entries
+        # (distance -1) keep their insertion order.
+        unqueried.sort(key=_distance)
         if len(responded) >= k:
-            threshold = responded[k - 1].distance_to(target)
-            unqueried = [c for c in unqueried if c.distance_to(target) < threshold]
-        return unqueried[:alpha]
+            responded.sort()
+            threshold = responded[k - 1]
+            return [c for d, c in unqueried if d < threshold][:alpha]
+        return [c for _d, c in unqueried[:alpha]]
 
     def _query_one(
         self,
@@ -205,11 +220,15 @@ class DhtCrawler:
         candidates: Dict[int, _Candidate],
         now: float,
     ) -> Optional[Tuple[List[Tuple[int, int]], int, int]]:
-        """Send one ``get_peers``; merge returned nodes; return values."""
+        """Send one ``get_peers``; merge returned nodes; return values.
+
+        None when no usable reply came back: a dropped packet, an error
+        reply, or a reply that fails to decode (counted, nothing merged).
+        """
         query = encode_query(
             self._next_tid(),
             "get_peers",
-            {"id": node_id_to_bytes(self.client_id), "info_hash": infohash},
+            {b"id": self._client_id_bytes, b"info_hash": infohash},
         )
         self._m_queries.inc()
         raw = self.network.send(
@@ -217,30 +236,44 @@ class DhtCrawler:
         )
         if raw is None:
             return None
-        reply = decode_message(raw)
-        if not isinstance(reply, KrpcResponse):
+        # Unpack everything before touching lookup state, so a malformed
+        # reply is all-or-nothing.
+        try:
+            reply = decode_message(raw)
+            if not isinstance(reply, KrpcResponse):
+                return None
+            values = reply.values
+            nodes_blob = values.get(b"nodes")
+            nodes = (
+                unpack_compact_nodes(nodes_blob)
+                if isinstance(nodes_blob, bytes)
+                else ()
+            )
+            raw_values = values.get(b"values")
+            got: List[Tuple[int, int]] = []
+            if isinstance(raw_values, list):
+                for compact in raw_values:
+                    if isinstance(compact, bytes):
+                        got.extend(unpack_compact_peers(compact))
+        except KrpcError:
+            # Registered on first use, so a run without bad replies keeps
+            # the same metrics snapshot.
+            self.metrics.counter("dht.lookup_bad_replies").labels().inc()
             return None
         candidate.responded = True
-        responder_id = reply.values.get(b"id")
+        responder_id = values.get(b"id")
         if isinstance(responder_id, bytes) and len(responder_id) == 20:
             candidate.node_id = int.from_bytes(responder_id, "big")
-        nodes_blob = reply.values.get(b"nodes")
-        if isinstance(nodes_blob, bytes):
-            for node_id_bytes, ip, port in unpack_compact_nodes(nodes_blob):
-                node_id = int.from_bytes(node_id_bytes, "big")
-                existing = candidates.get(ip)
-                if existing is None:
-                    candidates[ip] = _Candidate(ip=ip, port=port, node_id=node_id)
-                elif existing.node_id is None:
-                    existing.node_id = node_id
-        raw_values = reply.values.get(b"values")
-        got: List[Tuple[int, int]] = []
-        if isinstance(raw_values, list):
-            for compact in raw_values:
-                if isinstance(compact, bytes):
-                    got.extend(unpack_compact_peers(compact))
-        seeds = reply.values.get(b"seeds")
-        leeches = reply.values.get(b"peers")
+        for node_id_bytes, ip, port in nodes:
+            existing = candidates.get(ip)
+            if existing is None:
+                candidates[ip] = _Candidate(
+                    ip=ip, port=port, node_id=int.from_bytes(node_id_bytes, "big")
+                )
+            elif existing.node_id is None:
+                existing.node_id = int.from_bytes(node_id_bytes, "big")
+        seeds = values.get(b"seeds")
+        leeches = values.get(b"peers")
         return (
             got,
             seeds if isinstance(seeds, int) else 0,

@@ -17,13 +17,19 @@ Like the bencode layer underneath, the decoder is strict: unknown ``y``
 values, non-bytes transaction ids, unknown query methods and malformed
 compact blobs all raise :class:`KrpcError` rather than decoding to
 something half-usable.
+
+Every DHT lookup hop encodes and decodes here, so the encoders build their
+outer dicts with ``bytes`` keys already in canonical order: the bencoder
+then takes its fast path without a normalising copy or a sort.  Argument
+and return dicts pass through as given; ``str``-keyed ones still encode to
+the same bytes through the bencoder's normalising path.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from repro.bencode import BencodeError, bdecode, bencode
 
@@ -34,6 +40,13 @@ ERROR_PROTOCOL = 203
 ERROR_UNKNOWN_METHOD = 204
 
 KNOWN_METHODS = ("ping", "find_node", "get_peers", "announce_peer")
+_METHOD_BYTES = {method: method.encode("ascii") for method in KNOWN_METHODS}
+
+# Compact peer info (4-byte IP, 2-byte port) and compact node info (20-byte
+# id in front of it), both big-endian.  "20s" pads or truncates a bad id
+# silently, so the node packer checks the id itself and packs via _PEER.
+_PEER = struct.Struct(">IH")
+_NODE = struct.Struct(">20sIH")
 
 
 class KrpcError(ValueError):
@@ -73,20 +86,24 @@ class KrpcErrorMessage:
     message: str
 
 
-def encode_query(tid: bytes, method: str, args: Dict[str, object]) -> bytes:
+def encode_query(
+    tid: bytes, method: str, args: Dict[Union[bytes, str], object]
+) -> bytes:
     """Encode one KRPC query."""
     if not isinstance(tid, bytes) or not tid:
         raise KrpcError("transaction id must be non-empty bytes")
     if method not in KNOWN_METHODS:
         raise KrpcError(f"unknown KRPC method {method!r}")
-    return bencode({"t": tid, "y": "q", "q": method, "a": dict(args)})
+    return bencode(
+        {b"a": dict(args), b"q": _METHOD_BYTES[method], b"t": tid, b"y": b"q"}
+    )
 
 
-def encode_response(tid: bytes, values: Dict[str, object]) -> bytes:
+def encode_response(tid: bytes, values: Dict[Union[bytes, str], object]) -> bytes:
     """Encode one KRPC response."""
     if not isinstance(tid, bytes) or not tid:
         raise KrpcError("transaction id must be non-empty bytes")
-    return bencode({"t": tid, "y": "r", "r": dict(values)})
+    return bencode({b"r": dict(values), b"t": tid, b"y": b"r"})
 
 
 def encode_error(tid: bytes, code: int, message: str) -> bytes:
@@ -100,7 +117,7 @@ def encode_error(tid: bytes, code: int, message: str) -> bytes:
         ERROR_UNKNOWN_METHOD,
     ):
         raise KrpcError(f"unknown KRPC error code {code}")
-    return bencode({"t": tid, "y": "e", "e": [code, message]})
+    return bencode({b"e": [code, message], b"t": tid, b"y": b"e"})
 
 
 def decode_message(raw: bytes):
@@ -164,36 +181,28 @@ def pack_compact_peer(ip: int, port: int) -> bytes:
         raise KrpcError(f"ip {ip} out of IPv4 range")
     if not 0 <= port <= 0xFFFF:
         raise KrpcError(f"port {port} out of range")
-    return struct.pack(">IH", ip, port)
+    return _PEER.pack(ip, port)
 
 
 def unpack_compact_peers(data: bytes) -> List[Tuple[int, int]]:
     """Decode a concatenation of 6-byte compact peer entries."""
     if len(data) % 6 != 0:
         raise KrpcError(f"compact peer blob of {len(data)} bytes (not 6*N)")
-    return [
-        struct.unpack(">IH", data[offset : offset + 6])
-        for offset in range(0, len(data), 6)
-    ]
+    return list(_PEER.iter_unpack(data))
 
 
 def pack_compact_nodes(nodes: List[Tuple[bytes, int, int]]) -> bytes:
     """Encode ``(node_id, ip, port)`` triples as 26-byte compact node info."""
-    out = bytearray()
+    parts = []
     for node_id, ip, port in nodes:
         if not isinstance(node_id, bytes) or len(node_id) != 20:
             raise KrpcError("node id must be 20 bytes")
-        out += node_id + pack_compact_peer(ip, port)
-    return bytes(out)
+        parts.append(node_id + pack_compact_peer(ip, port))
+    return b"".join(parts)
 
 
 def unpack_compact_nodes(data: bytes) -> List[Tuple[bytes, int, int]]:
     """Decode a concatenation of 26-byte compact node entries."""
     if len(data) % 26 != 0:
         raise KrpcError(f"compact node blob of {len(data)} bytes (not 26*N)")
-    nodes: List[Tuple[bytes, int, int]] = []
-    for offset in range(0, len(data), 26):
-        node_id = data[offset : offset + 20]
-        ip, port = struct.unpack(">IH", data[offset + 20 : offset + 26])
-        nodes.append((node_id, ip, port))
-    return nodes
+    return list(_NODE.iter_unpack(data))

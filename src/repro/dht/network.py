@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.dht.node import DHT_PORT, DhtNode
-from repro.dht.routing import Contact, derive_node_id, xor_distance
+from repro.dht.routing import Contact, derive_node_id
 from repro.observability import MetricsRegistry
 
 # DHT node IPs live in 10.77.0.0/16; the crawler vantages use 10.66.0.0/16
@@ -77,6 +77,9 @@ class DhtNetwork:
         self.config = config
         self.nodes = nodes
         self._by_ip: Dict[int, DhtNode] = {node.ip: node for node in nodes}
+        self._by_id: Dict[int, DhtNode] = {node.node_id: node for node in nodes}
+        if len(self._by_id) != len(nodes):
+            raise ValueError("DHT node ids must be unique")
         self._rng = rng
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.gauge("dht.nodes").labels().set(len(nodes))
@@ -142,9 +145,8 @@ class DhtNetwork:
 
     def closest_nodes(self, target: int, count: int) -> List[DhtNode]:
         """Global closest-k view (oracle; used by the batch announce plane)."""
-        return sorted(
-            self.nodes, key=lambda node: xor_distance(node.node_id, target)
-        )[:count]
+        by_id = self._by_id
+        return [by_id[i] for i in sorted(by_id, key=target.__xor__)[:count]]
 
     # ------------------------------------------------------------------
     # Batch plane: world-driven announces

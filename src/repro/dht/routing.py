@@ -11,12 +11,18 @@ deterministically: a full bucket replaces its least-recently-seen contact
 only when that contact has not been heard from for ``stale_after``
 simulated minutes; otherwise the newcomer is dropped.  Re-observing a
 known contact refreshes its ``last_seen`` in place.
+
+``RoutingTable.version`` counts changes to the set of ``(id, ip, port)``
+entries -- inserts, evictions, removals and address changes -- and
+nothing else: a ``last_seen`` refresh leaves it alone.  Anything computed
+from that set alone (the ``closest`` answer for a target, say) can be
+cached against it exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 NODE_ID_BITS = 160
@@ -78,6 +84,7 @@ class RoutingTable:
         self.stale_after = stale_after
         # bucket index -> contacts ordered least- to most-recently seen.
         self._buckets: Dict[int, List[Contact]] = {}
+        self.version = 0
 
     def observe(self, contact: Contact, now: float) -> bool:
         """Record evidence that ``contact`` is alive at ``now``.
@@ -93,19 +100,19 @@ class RoutingTable:
             if existing.node_id == contact.node_id:
                 # Known contact: refresh and move to the fresh end.
                 bucket.pop(position)
-                bucket.append(replace(contact, last_seen=now))
-                return True
-        if len(bucket) < self.k:
-            bucket.append(replace(contact, last_seen=now))
-            return True
-        oldest = bucket[0]
-        if now - oldest.last_seen > self.stale_after:
-            # Kademlia would ping the oldest first; the simulation resolves
-            # the ping outcome by staleness, deterministically.
-            bucket.pop(0)
-            bucket.append(replace(contact, last_seen=now))
-            return True
-        return False
+                if existing.ip != contact.ip or existing.port != contact.port:
+                    self.version += 1
+                break
+        else:
+            if len(bucket) >= self.k:
+                if now - bucket[0].last_seen <= self.stale_after:
+                    return False
+                # Kademlia would ping the oldest first; the simulation
+                # resolves the ping outcome by staleness, deterministically.
+                bucket.pop(0)
+            self.version += 1
+        bucket.append(Contact(contact.node_id, contact.ip, contact.port, now))
+        return True
 
     def remove(self, node_id: int) -> None:
         try:
@@ -115,7 +122,10 @@ class RoutingTable:
         bucket = self._buckets.get(index)
         if bucket is None:
             return
-        self._buckets[index] = [c for c in bucket if c.node_id != node_id]
+        kept = [c for c in bucket if c.node_id != node_id]
+        if len(kept) != len(bucket):
+            self._buckets[index] = kept
+            self.version += 1
 
     def find(self, node_id: int) -> Optional[Contact]:
         try:
@@ -131,9 +141,10 @@ class RoutingTable:
         """The ``count`` contacts XOR-closest to ``target`` (default ``k``)."""
         if count is None:
             count = self.k
-        contacts = [c for bucket in self._buckets.values() for c in bucket]
-        contacts.sort(key=lambda c: xor_distance(c.node_id, target))
-        return contacts[:count]
+        by_id = {c.node_id: c for bucket in self._buckets.values() for c in bucket}
+        # Ids are unique, so XOR distances to one target are too: sorting
+        # the ids by ``target ^ id`` (a C-level key) fixes the order.
+        return [by_id[i] for i in sorted(by_id, key=target.__xor__)[:count]]
 
     def bucket_sizes(self) -> Dict[int, int]:
         return {index: len(bucket) for index, bucket in self._buckets.items() if bucket}

@@ -1,12 +1,17 @@
 """Tests for the KRPC codec (repro.dht.krpc)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bencode import bdecode
+from repro.bencode.reference import bencode_reference
 from repro.dht.krpc import (
     ERROR_GENERIC,
     ERROR_PROTOCOL,
+    ERROR_SERVER,
     ERROR_UNKNOWN_METHOD,
+    KNOWN_METHODS,
     KrpcError,
     KrpcErrorMessage,
     KrpcQuery,
@@ -154,3 +159,80 @@ class TestCompactEncodings:
     def test_bad_node_id_rejected(self):
         with pytest.raises(KrpcError, match="20 bytes"):
             pack_compact_nodes([(b"short", 1, 2)])
+
+    @pytest.mark.parametrize("length", [19, 21])
+    def test_off_by_one_node_id_rejected(self, length):
+        # The packer's fixed-width struct would pad or truncate silently;
+        # the explicit length check must still fire.
+        with pytest.raises(KrpcError, match="20 bytes"):
+            pack_compact_nodes([(b"\x01" * 20, 1, 2), (b"\x02" * length, 3, 4)])
+
+    def test_node_blob_ip_and_port_checked(self):
+        with pytest.raises(KrpcError, match="IPv4"):
+            pack_compact_nodes([(b"\x01" * 20, 1 << 32, 2)])
+        with pytest.raises(KrpcError, match="port"):
+            pack_compact_nodes([(b"\x01" * 20, 1, 1 << 16)])
+
+
+# ----------------------------------------------------------------------
+# Wire equivalence: the encoders build bytes-keyed canonical dicts for the
+# bencoder's fast path; the bytes must be exactly what the frozen
+# reference encoder makes of the plain str-keyed message.
+# ----------------------------------------------------------------------
+_ids = st.binary(min_size=20, max_size=20)
+_tids = st.binary(min_size=1, max_size=8)
+_compact_peers = st.lists(st.binary(min_size=6, max_size=6), max_size=160)
+_args = st.fixed_dictionaries(
+    {"id": _ids},
+    optional={
+        "info_hash": _ids,
+        "target": _ids,
+        "token": st.binary(max_size=20),
+        "port": st.integers(min_value=0, max_value=0xFFFF),
+        "seed": st.integers(min_value=0, max_value=1),
+    },
+)
+_return_values = st.fixed_dictionaries(
+    {"id": _ids},
+    optional={
+        "nodes": st.lists(st.binary(min_size=26, max_size=26), max_size=8).map(
+            b"".join
+        ),
+        "token": st.binary(min_size=1, max_size=20),
+        "values": _compact_peers,
+        "seeds": st.integers(min_value=0, max_value=10**6),
+        "peers": st.integers(min_value=0, max_value=10**6),
+    },
+)
+
+
+def _bytes_keys(mapping):
+    return {key.encode(): value for key, value in sorted(mapping.items())}
+
+
+class TestWireEquivalence:
+    @given(tid=_tids, method=st.sampled_from(KNOWN_METHODS), args=_args)
+    @settings(max_examples=200, deadline=None)
+    def test_query_matches_reference(self, tid, method, args):
+        expected = bencode_reference({"t": tid, "y": "q", "q": method, "a": args})
+        assert encode_query(tid, method, args) == expected
+        assert encode_query(tid, method, _bytes_keys(args)) == expected
+
+    @given(tid=_tids, values=_return_values)
+    @settings(max_examples=200, deadline=None)
+    def test_response_matches_reference(self, tid, values):
+        expected = bencode_reference({"t": tid, "y": "r", "r": values})
+        assert encode_response(tid, values) == expected
+        assert encode_response(tid, _bytes_keys(values)) == expected
+
+    @given(
+        tid=_tids,
+        code=st.sampled_from(
+            [ERROR_GENERIC, ERROR_SERVER, ERROR_PROTOCOL, ERROR_UNKNOWN_METHOD]
+        ),
+        message=st.text(max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_error_matches_reference(self, tid, code, message):
+        expected = bencode_reference({"t": tid, "y": "e", "e": [code, message]})
+        assert encode_error(tid, code, message) == expected

@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from repro.core.dht_crawler import CRAWLER_DHT_IP, DhtCrawler
+from repro.core.dht_crawler import CRAWLER_DHT_IP, DhtCrawler, _Candidate
 from repro.dht import (
     DhtConfig,
     DhtNetwork,
     KrpcResponse,
     decode_message,
     encode_query,
+    encode_response,
     node_id_to_bytes,
+    pack_compact_nodes,
     xor_distance,
 )
 from repro.observability import MetricsRegistry
@@ -61,6 +63,12 @@ class TestBuild:
         network = build_network()
         assert len({n.node_id for n in network.nodes}) == len(network.nodes)
         assert len({n.ip for n in network.nodes}) == len(network.nodes)
+
+    def test_duplicate_node_ids_rejected(self):
+        network = build_network(num_nodes=4)
+        twin = network.nodes[:2] + [network.nodes[0]]
+        with pytest.raises(ValueError, match="unique"):
+            DhtNetwork(network.config, twin, random.Random(1))
 
     def test_tables_are_kademlia_partial(self):
         network = build_network(num_nodes=64, k=8)
@@ -198,3 +206,65 @@ class TestIterativeLookup:
             == sum(snapshot["dht.messages"]["values"].values())
         )
         assert snapshot["dht.lookup_hops"]["values"][""]["count"] == 1
+
+
+class TestMalformedReplies:
+    """A reply that fails to decode counts as a dropped packet: the lookup
+    goes on exactly as if that node were unreachable."""
+
+    BAD_REPLIES = {
+        "not-bencode": b"\xffnot bencode",
+        "ragged-nodes": encode_response(
+            b"\x00\x00\x00\x01", {b"id": b"\x01" * 20, b"nodes": b"\x00" * 25}
+        ),
+        # A well-formed nodes blob next to a ragged value: all or nothing.
+        "ragged-value": encode_response(
+            b"\x00\x00\x00\x01",
+            {
+                b"id": b"\x01" * 20,
+                b"nodes": pack_compact_nodes([(b"\x02" * 20, 7, 6881)]),
+                b"values": [b"\x00" * 6, b"\x00" * 5],
+            },
+        ),
+    }
+
+    def _lookup(self, break_node):
+        registry = MetricsRegistry()
+        network = build_network(metrics=registry)
+        network.announce_session(INFOHASH, ip=5, port=1, start=0.0, end=99.0)
+        break_node(network, network.nodes[0])
+        result = DhtCrawler(network, random.Random(3), metrics=registry).lookup(
+            INFOHASH, now=10.0
+        )
+        return result, registry.snapshot(include_wall=False)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_REPLIES))
+    def test_bad_reply_is_a_dropped_packet(self, kind):
+        def garble(network, node):
+            node.handle_query = lambda *args: self.BAD_REPLIES[kind]
+
+        def unplug(network, node):
+            del network._by_ip[node.ip]
+
+        bad, snapshot = self._lookup(garble)
+        dropped, _ = self._lookup(unplug)
+        assert bad == dropped
+        assert bad.found_peers
+        assert snapshot["dht.lookup_bad_replies"]["values"] == {"": 1.0}
+
+    @pytest.mark.parametrize("kind", sorted(BAD_REPLIES))
+    def test_bad_reply_merges_nothing(self, kind):
+        network = build_network()
+        node = network.nodes[0]
+        node.handle_query = lambda *args: self.BAD_REPLIES[kind]
+        crawler = DhtCrawler(network, random.Random(3), metrics=MetricsRegistry())
+        candidate = _Candidate(ip=node.ip, port=6881)
+        candidates = {node.ip: candidate}
+        assert crawler._query_one(candidate, INFOHASH, candidates, now=10.0) is None
+        assert not candidate.responded
+        assert candidate.node_id is None
+        assert list(candidates) == [node.ip]
+
+    def test_clean_run_registers_no_bad_reply_counter(self):
+        _result, snapshot = self._lookup(lambda network, node: None)
+        assert "dht.lookup_bad_replies" not in snapshot

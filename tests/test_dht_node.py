@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bencode.reference import bdecode_reference, bencode_reference
 from repro.dht.krpc import (
     ERROR_PROTOCOL,
     ERROR_UNKNOWN_METHOD,
@@ -10,6 +11,7 @@ from repro.dht.krpc import (
     decode_message,
     encode_query,
     encode_response,
+    pack_compact_nodes,
     unpack_compact_nodes,
     unpack_compact_peers,
 )
@@ -219,3 +221,114 @@ class TestDispatchEdges:
             make_node(announce_ttl=0.0)
         with pytest.raises(ValueError):
             make_node(max_values=0)
+
+
+class TestCanonicalReplies:
+    """Replies are built for the bencoder's fast path; their bytes must be
+    exactly what the reference codec makes of the decoded reply."""
+
+    def _assert_canonical(self, raw):
+        assert bencode_reference(bdecode_reference(raw)) == raw
+        reply = decode_message(raw)
+        assert isinstance(reply, KrpcResponse)
+        assert decode_message(bencode_reference(bdecode_reference(raw))) == reply
+        return reply
+
+    def test_every_method_replies_canonically(self):
+        node = make_node(max_values=3)
+        for i in range(5):
+            node.table.observe(Contact(derive_node_id("n", i), ip=i + 1, port=1), 0.0)
+            node.store_announce(
+                INFOHASH, ip=100 + i, port=6881, start=0.0, end=50.0,
+                seed_from=0.0 if i < 2 else None,
+            )
+
+        def raw(method, args):
+            args = {"id": CLIENT_ID, **args}
+            return node.handle_query(
+                encode_query(b"t1", method, args), CLIENT_IP, 6881, 10.0
+            )
+
+        self._assert_canonical(raw("ping", {}))
+        found = self._assert_canonical(raw("find_node", {"target": INFOHASH}))
+        assert found.values[b"nodes"]
+        empty = self._assert_canonical(raw("get_peers", {"info_hash": b"\x01" * 20}))
+        assert b"values" not in empty.values
+        full = self._assert_canonical(raw("get_peers", {"info_hash": INFOHASH}))
+        assert len(full.values[b"values"]) == 3  # sampled to max_values
+        token = full.values[b"token"]
+        self._assert_canonical(
+            raw("announce_peer", {"info_hash": INFOHASH, "port": 7000, "token": token})
+        )
+
+
+class TestClosestNodesCache:
+    """The packed ``nodes`` blob is cached per routing-table version: it must
+    follow every change to the table's (id, ip, port) set, and only those."""
+
+    # The node shares its top bit with the querying client and the target
+    # has the other one, so bucket 0 holds exactly the TARGET ^ n contacts
+    # each test puts there, and the client lands in some other bucket.
+    LOCAL_ID = int.from_bytes(CLIENT_ID, "big") & (1 << 159)
+    TARGET = (LOCAL_ID ^ (1 << 159)) | 0x5A5A
+
+    def _node(self, deltas=(1, 2)):
+        node = DhtNode(node_id=self.LOCAL_ID, ip=0x0A4D0001, k=3, stale_after=60.0)
+        for delta in deltas:
+            assert node.table.observe(Contact(self.TARGET ^ delta, ip=delta, port=1), 0.0)
+        return node
+
+    def _blob(self, node, now=0.0):
+        infohash = node_id_to_bytes(self.TARGET)
+        return ask(node, "get_peers", {"info_hash": infohash}, now=now).values[b"nodes"]
+
+    def _fresh(self, node):
+        return pack_compact_nodes(
+            [
+                (node_id_to_bytes(c.node_id), c.ip, c.port)
+                for c in node.table.closest(self.TARGET)
+            ]
+        )
+
+    def _assert_changed_by(self, node, change):
+        before = self._blob(node)
+        version = node.table.version
+        change(node.table)
+        assert node.table.version != version
+        after = self._blob(node, now=100.0)
+        assert after != before
+        assert after == self._fresh(node)
+
+    def test_insert(self):
+        self._assert_changed_by(
+            self._node(),
+            lambda table: table.observe(Contact(self.TARGET ^ 3, ip=3, port=1), 0.0),
+        )
+
+    def test_stale_eviction(self):
+        def evict(table):
+            # Bucket 0 is full of contacts last seen at 0: a newcomer at
+            # 100 evicts the least recently seen, TARGET ^ 1.
+            assert table.observe(Contact(self.TARGET ^ 4, ip=4, port=1), 100.0)
+            assert self.TARGET ^ 1 not in table
+
+        self._assert_changed_by(self._node(deltas=(1, 2, 3)), evict)
+
+    def test_remove(self):
+        self._assert_changed_by(
+            self._node(), lambda table: table.remove(self.TARGET ^ 1)
+        )
+
+    def test_address_change_on_refresh(self):
+        self._assert_changed_by(
+            self._node(),
+            lambda table: table.observe(Contact(self.TARGET ^ 1, ip=9, port=1), 50.0),
+        )
+
+    def test_last_seen_refresh_keeps_the_cache(self):
+        node = self._node()
+        before = self._blob(node)
+        version = node.table.version
+        node.table.observe(Contact(self.TARGET ^ 1, ip=1, port=1), 50.0)
+        assert node.table.version == version
+        assert self._blob(node, now=50.0) == before == self._fresh(node)

@@ -1,6 +1,8 @@
 """Tests for the Kademlia routing table (repro.dht.routing)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dht.routing import (
     NODE_ID_BITS,
@@ -116,6 +118,42 @@ class TestRoutingTable:
         kept = [c.node_id for bucket in table._buckets.values() for c in bucket]
         best = sorted(kept, key=lambda n: xor_distance(n, target))[:5]
         assert [c.node_id for c in closest] == best
+
+    @given(
+        local_id=st.integers(min_value=0, max_value=(1 << NODE_ID_BITS) - 1),
+        ids=st.lists(
+            st.integers(min_value=0, max_value=(1 << NODE_ID_BITS) - 1),
+            max_size=60,
+            unique=True,
+        ),
+        target=st.integers(min_value=0, max_value=(1 << NODE_ID_BITS) - 1),
+        k=st.integers(min_value=1, max_value=8),
+        count=st.integers(min_value=1, max_value=70),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closest_matches_brute_force(self, local_id, ids, target, k, count):
+        table = RoutingTable(local_id, k=k)
+        for index, node_id in enumerate(ids):
+            table.observe(Contact(node_id, ip=index + 1, port=1), now=float(index))
+        kept = [c for bucket in table._buckets.values() for c in bucket]
+        expected = sorted(kept, key=lambda c: c.node_id ^ target)[:count]
+        assert table.closest(target, count=count) == expected
+
+    def test_version_tracks_the_address_set(self):
+        table = self._table(k=1, stale_after=10.0)
+        node_id = derive_node_id("v")
+        versions = [table.version]
+        table.observe(Contact(node_id, ip=1, port=1), now=0.0)  # insert
+        versions.append(table.version)
+        table.observe(Contact(node_id, ip=1, port=1), now=5.0)  # refresh only
+        assert table.version == versions[-1]
+        table.observe(Contact(node_id, ip=2, port=1), now=6.0)  # new address
+        versions.append(table.version)
+        table.remove(node_id)
+        versions.append(table.version)
+        table.remove(node_id)  # already gone
+        assert table.version == versions[-1]
+        assert versions == sorted(set(versions))
 
     def test_bucket_sizes_capped_at_k(self):
         table = self._table(k=3)
