@@ -15,7 +15,9 @@ shares), the Table-1 counts, and the totals of a few sim-domain counters
 that move with the crawl's mechanics (one more KRPC query per lookup, say)
 even when every statistic stays put.  ``tiny`` pins the tracker channel,
 ``trackerless`` the DHT channel alone and ``hybrid`` both at once; the two
-DHT goldens use a half-day window so each costs seconds.
+DHT goldens use a half-day window so each costs seconds.  ``pb09`` pins the
+single-query crawl (``monitor_swarms=False``) that the Section 7 monitor
+also runs on, at a tenth of its population and a one-day window.
 ``tests/test_golden_campaign.py`` recomputes them and fails with a readable
 per-metric diff on any drift.
 """
@@ -51,9 +53,10 @@ GOLDEN_COUNTERS = (
 class GoldenSpec(NamedTuple):
     scenario: str
     # None keeps the scenario's own window (and keeps the key out of the
-    # golden file).
+    # golden file); so does the default scale.
     window_days: Optional[float] = None
     post_window_days: Optional[float] = None
+    scale: float = 1.0
 
     @property
     def filename(self) -> str:
@@ -64,12 +67,14 @@ GOLDENS = (
     GoldenSpec("tiny"),
     GoldenSpec("trackerless", window_days=0.5, post_window_days=0.5),
     GoldenSpec("hybrid", window_days=0.5, post_window_days=0.5),
+    GoldenSpec("pb09", window_days=1.0, post_window_days=1.0, scale=0.1),
 )
 
 
 def build_golden(spec: GoldenSpec) -> dict:
     config = build_scenario(
         spec.scenario,
+        scale=spec.scale,
         window_days=spec.window_days,
         post_window_days=spec.post_window_days,
     )
@@ -89,6 +94,8 @@ def build_golden(spec: GoldenSpec) -> dict:
     if spec.window_days is not None:
         payload["window_days"] = spec.window_days
         payload["post_window_days"] = spec.post_window_days
+    if spec.scale != 1.0:
+        payload["scale"] = spec.scale
     return payload
 
 

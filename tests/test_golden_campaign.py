@@ -1,13 +1,15 @@
 """Golden-dataset regression: the pinned-seed campaigns' headline stats.
 
 The golden files (tests/golden/*_seed7.json, written by
-``examples/regen_goldens.py``) pin every headline statistic of three seed-7
-campaigns, one per discovery channel:
+``examples/regen_goldens.py``) pin every headline statistic of four seed-7
+campaigns, one per discovery channel plus the single-query crawl:
 
 - ``tiny`` (tracker) -- the same campaign the session-scoped ``tiny_run``
   fixture builds, so its check costs no extra crawl;
 - ``trackerless`` (DHT only) and ``hybrid`` (tracker and DHT) on the
-  half-day window each golden records, so each costs seconds.
+  half-day window each golden records, so each costs seconds;
+- ``pb09`` (one tracker query per torrent, no monitoring -- the path the
+  Section 7 monitor runs on) at the scale and one-day window it records.
 
 Each golden also pins the totals of a few sim-domain counters (events run,
 announces, DHT lookups, queries and messages), which move when the crawl's
@@ -30,7 +32,7 @@ from repro.core.collector import run_measurement_with_world
 from repro.simulation import build_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_SCENARIOS = ("tiny", "trackerless", "hybrid")
+GOLDEN_SCENARIOS = ("tiny", "trackerless", "hybrid", "pb09")
 
 # Tight but not bit-exact: every value is a deterministic float computation,
 # the tolerance only forgives last-ulp differences across platforms.
@@ -52,6 +54,7 @@ def golden_run(golden, request):
         return request.getfixturevalue("tiny_run")
     config = build_scenario(
         golden["scenario"],
+        scale=golden.get("scale", 1.0),
         window_days=golden["window_days"],
         post_window_days=golden["post_window_days"],
     )
@@ -116,7 +119,7 @@ class TestGoldenCampaign:
         channel's counters; a key family silently vanishing would hollow the
         regression out."""
         assert {"crawler.announces", "engine.events_run"} <= set(golden["counts"])
-        if golden["scenario"] != "tiny":
+        if golden["scenario"] in ("trackerless", "hybrid"):
             assert "dht.lookup_queries" in golden["counts"]
         families = {key.split(".")[0] for key in golden["headline"]}
         assert {
