@@ -339,10 +339,13 @@ def main() -> None:
     # Section 7
     w("## Section 7 — monitoring application\n\n")
     w("Implemented in `repro.core.monitor` + `repro.core.storage` (SQLite): "
-      "one tracker connection per new torrent, GeoIP enrichment, "
-      "per-publisher annotations for profit-driven publishers, and the "
-      "fake-publisher filter the paper announces as future work.  Exercised "
-      "by `examples/live_monitor.py` and `tests/test_monitor_storage.py`.\n\n")
+      "one first contact per new torrent, made by the crawler itself "
+      "(`monitor_swarms=False`, pb09's single query) over the scenario's "
+      "channels -- a tracker announce and/or a DHT lookup, by .torrent or "
+      "magnet link -- then GeoIP enrichment, per-publisher annotations for "
+      "profit-driven publishers, and the fake-publisher filter the paper "
+      "announces as future work.  Exercised by `examples/live_monitor.py` "
+      "and `tests/test_monitor_storage.py`.\n\n")
 
     # Discovery-channel ablation (kept in sync with the benchmark's own run:
     # hybrid scenario, scale 0.3, seed 99 -- cheap enough to recompute here

@@ -4,8 +4,11 @@ One crawler instance drives a whole campaign on the event scheduler:
 
 1. **Discovery** -- poll the portal's RSS feed every few minutes; each new
    entry yields the username (where the feed carries it) and triggers an
-   immediate .torrent download and tracker announce, usually within minutes
-   of the swarm's birth.
+   immediate .torrent download (or magnet resolution) and first contact --
+   a tracker announce and/or a DHT lookup -- usually within minutes of the
+   swarm's birth.  With ``monitor_swarms=False`` this first contact is all
+   the crawler does: pb09's single query, and the Section 7 monitor
+   (:mod:`repro.core.monitor`), which runs on this class.
 2. **Identification** -- apply the single-seeder/bitfield rule
    (:mod:`repro.core.identification`); successfully identified publisher
    IPs join a global *watchlist*.
@@ -13,7 +16,9 @@ One crawler instance drives a whole campaign on the event scheduler:
    each re-announce at the tracker-advertised interval (10--15 min),
    staggered so the aggregate sampling resolution is higher than any single
    client could achieve without being blacklisted.  Monitoring stops after
-   ``empty_replies_to_stop`` consecutive empty replies.
+   ``empty_replies_to_stop`` consecutive empty replies or at the horizon,
+   by one rule (:meth:`Crawler._continue_monitoring`) whichever channel
+   drives it.
 
 Every tracker response is processed into the campaign's
 :class:`~repro.core.datasets.TorrentRecord`: distinct downloader IPs,
@@ -35,7 +40,7 @@ from repro.portal.rss import RssEntry
 from repro.simulation.engine import EventScheduler
 from repro.simulation.scenarios import CrawlerSettings, ScenarioConfig
 from repro.simulation.world import World
-from repro.torrent import MagnetError, parse_magnet, parse_torrent
+from repro.torrent import MagnetError, TorrentMeta, parse_magnet, parse_torrent
 from repro.torrent.metainfo import DEFAULT_PIECE_LENGTH
 from repro.tracker import (
     AnnounceRequest,
@@ -96,14 +101,13 @@ class Crawler:
         self._m_watchlist = registry.gauge("crawler.watchlist_size").labels()
         self._m_lag = registry.histogram("crawler.discovery_lag_minutes").labels()
         self._m_probes = registry.gauge("crawler.probes").labels()
-        # Discovery channels (ISSUE 2).  The tracker is used unless the
-        # scenario disables it; the DHT client exists only when the world
-        # built an overlay.
+        # Discovery channels.  The tracker is used unless the scenario
+        # disables it; the DHT client exists only when the world built an
+        # overlay.
         config = world.config
         self._use_tracker = config.uses_tracker
-        self._use_dht = config.uses_dht and world.dht is not None
         self.dht_crawler: Optional[DhtCrawler] = None
-        if self._use_dht:
+        if config.uses_dht and world.dht is not None:
             self.dht_crawler = DhtCrawler(
                 world.dht,
                 random.Random(rng.getrandbits(64)),
@@ -130,7 +134,12 @@ class Crawler:
         if now + self.settings.rss_poll_interval <= self.world.config.window_minutes:
             self.scheduler.schedule_after(self.settings.rss_poll_interval, self._poll_rss)
 
-    def _discover(self, entry: RssEntry, now: float) -> None:
+    def _discover(self, entry: RssEntry, now: float) -> Optional[TorrentMeta]:
+        """Record a new feed entry and make first contact with its swarm.
+
+        Returns the parsed .torrent metainfo, or ``None`` when the torrent
+        was reached through its magnet link or not at all.
+        """
         record = TorrentRecord(
             torrent_id=entry.torrent_id,
             infohash=b"\x00" * 20,  # filled in after the .torrent download
@@ -148,11 +157,13 @@ class Crawler:
             now, "crawler.discover", torrent_id=entry.torrent_id
         )
 
-        if not self._acquire_metadata(record, entry, now):
+        torrent_bytes = self.world.portal.get_torrent_file(entry.torrent_id, now)
+        meta = parse_torrent(torrent_bytes) if torrent_bytes is not None else None
+        if not self._acquire_metadata(record, meta, now):
             record.identification = IdentificationOutcome.TORRENT_GONE
             self._m_identification[IdentificationOutcome.TORRENT_GONE].inc()
             record.done = True
-            return
+            return None
 
         # Immediate first contact: tracker announce (vantage 0) and/or an
         # iterative DHT lookup, depending on the scenario's channels.
@@ -160,7 +171,7 @@ class Crawler:
         if self._use_tracker:
             response = self._announce(record, vantage=0, now=now)
         dht_result = None
-        if self._use_dht:
+        if self.dht_crawler is not None:
             dht_result = self._dht_lookup(record, now)
         observation = response if response is not None else dht_result
         if observation is not None:
@@ -172,7 +183,7 @@ class Crawler:
         if self.settings.monitor_swarms:
             if self._use_tracker:
                 self._schedule_vantage_polls(record, now, response)
-            if self._use_dht:
+            if self.dht_crawler is not None:
                 at = now + self.settings.dht_poll_interval
                 if at <= self._hard_stop:
                     self.scheduler.schedule(
@@ -181,20 +192,20 @@ class Crawler:
         else:
             record.done = True
             record.monitoring_ended = now
+        return meta
 
     def _acquire_metadata(
-        self, record: TorrentRecord, entry: RssEntry, now: float
+        self, record: TorrentRecord, meta: Optional[TorrentMeta], now: float
     ) -> bool:
         """Learn the infohash and piece count: .torrent first, magnet second.
 
-        The magnet path models a BEP 9 metadata fetch: the infohash comes
-        from the link; the piece count is derived from the advertised
-        content size exactly as ``build_torrent`` derives it, so bitfield
-        probing works identically on magnet-only publications.
+        ``meta`` is the parsed .torrent, if the portal served one.  The
+        magnet path models a BEP 9 metadata fetch: the infohash comes from
+        the link; the piece count is derived from the advertised content
+        size exactly as ``build_torrent`` derives it, so bitfield probing
+        works identically on magnet-only publications.
         """
-        torrent_bytes = self.world.portal.get_torrent_file(record.torrent_id, now)
-        if torrent_bytes is not None:
-            meta = parse_torrent(torrent_bytes)
+        if meta is not None:
             record.infohash = meta.infohash
             record.bundled_files = tuple(
                 f.path for f in meta.files if f.path != meta.name
@@ -275,7 +286,6 @@ class Crawler:
     # DHT interaction
     # ------------------------------------------------------------------
     def _dht_lookup(self, record: TorrentRecord, now: float):
-        assert self.dht_crawler is not None
         result = self.dht_crawler.lookup(record.infohash, now)
         self._process_response(record, result, now, channel="dht")
         return result
@@ -286,31 +296,15 @@ class Crawler:
             return
         now = self.scheduler.clock.now
         result = self._dht_lookup(record, now)
-        if not self._use_tracker and self._identification_pending(record, now):
-            self._attempt_identification(record, result, now)
-        if not self._use_tracker:
-            # The DHT is the primary channel: it drives the stop rule, just
-            # as consecutive empty tracker replies do on the tracker path.
-            if result.total_peers == 0:
-                record.empty_streak += 1
-            else:
-                record.empty_streak = 0
-            if record.empty_streak >= self.settings.empty_replies_to_stop:
-                record.done = True
-                record.monitoring_ended = now
-                self._m_stop_empty.inc()
-                self.metrics.trace.record(
-                    now, "crawler.monitor_stop", torrent_id=torrent_id,
-                    reason="empty_replies",
-                )
-                return
         at = now + self.settings.dht_poll_interval
-        if at <= self._hard_stop:
+        if self._use_tracker:
+            # The tracker drives identification and the stop rule; the DHT
+            # only adds sightings until the horizon.
+            polling = at <= self._hard_stop
+        else:
+            polling = self._continue_monitoring(record, result, now, at)
+        if polling:
             self.scheduler.schedule(at, self._dht_monitor_poll, torrent_id)
-        elif not self._use_tracker:
-            record.done = True
-            record.monitoring_ended = self._hard_stop
-            self._m_stop_horizon.inc()
 
     # ------------------------------------------------------------------
     # Identification
@@ -379,10 +373,25 @@ class Crawler:
                 self.scheduler.schedule(at, self._monitor_poll, torrent_id, vantage)
             return
 
-        if self._identification_pending(record, now):
-            self._attempt_identification(record, response, now)
+        interval = max(response.interval_seconds / 60.0,
+                       self.world.tracker.config.min_interval)
+        at = now + interval
+        if self._continue_monitoring(record, response, now, at):
+            self.scheduler.schedule(at, self._monitor_poll, torrent_id, vantage)
 
-        if response.total_peers == 0:
+    def _continue_monitoring(
+        self, record: TorrentRecord, observation, now: float, next_poll: float
+    ) -> bool:
+        """The stop rule of whichever channel drives monitoring.
+
+        Retries identification while it is pending, then stops the record
+        after ``empty_replies_to_stop`` consecutive empty replies, or when
+        ``next_poll`` would fall past the horizon.  Returns whether to poll
+        again at ``next_poll``.
+        """
+        if self._identification_pending(record, now):
+            self._attempt_identification(record, observation, now)
+        if observation.total_peers == 0:
             record.empty_streak += 1
         else:
             record.empty_streak = 0
@@ -391,20 +400,16 @@ class Crawler:
             record.monitoring_ended = now
             self._m_stop_empty.inc()
             self.metrics.trace.record(
-                now, "crawler.monitor_stop", torrent_id=torrent_id,
+                now, "crawler.monitor_stop", torrent_id=record.torrent_id,
                 reason="empty_replies",
             )
-            return
-
-        interval = max(response.interval_seconds / 60.0,
-                       self.world.tracker.config.min_interval)
-        at = now + interval
-        if at <= self._hard_stop:
-            self.scheduler.schedule(at, self._monitor_poll, torrent_id, vantage)
-        else:
-            record.done = True
-            record.monitoring_ended = self._hard_stop
-            self._m_stop_horizon.inc()
+            return False
+        if next_poll <= self._hard_stop:
+            return True
+        record.done = True
+        record.monitoring_ended = self._hard_stop
+        self._m_stop_horizon.inc()
+        return False
 
     # ------------------------------------------------------------------
     # Results

@@ -2,8 +2,11 @@
 
 Unlike the full measurement campaign, the monitor "makes only one connection
 to the tracker just after we learn of a new torrent from The Pirate Bay RSS
-feed": it tracks publishers, not downloaders.  Each new publication is
-enriched with GeoIP data (ISP, city, country) and stored in the database;
+feed": it tracks publishers, not downloaders.  That one first contact is the
+crawler's own (:class:`~repro.core.crawler.Crawler` with
+``monitor_swarms=False``), so it goes through the scenario's channels -- the
+tracker and/or the DHT, by .torrent or by magnet link.  Each new publication
+is enriched with GeoIP data (ISP, city, country) and stored in the database;
 profit-driven publishers found by the incentives analysis get an annotated
 publisher page, and fake publishers can be flagged so that client-facing
 queries filter them out (the feature the paper says it is working on).
@@ -12,24 +15,22 @@ queries filter them out (the feature the paper says it is working on).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Optional
 
-from repro.core.identification import identify_publisher
+from repro.core.crawler import Crawler
 from repro.core.storage import MonitorStore, PublicationRow, PublisherRow
 from repro.geoip import format_ip
-from repro.peerwire import BitfieldProber
+from repro.peerwire.verification import ContentVerdict, verify_content
 from repro.portal.rss import RssEntry
 from repro.simulation.engine import EventScheduler
 from repro.simulation.world import World
-from repro.torrent import parse_torrent
-from repro.tracker import AnnounceRequest, TrackerError, decode_announce_response
-
-_MONITOR_PEER_ID = b"-RP1000-repro-monit1"
-_MONITOR_IP = (10 << 24) | (77 << 16) | 1
+from repro.torrent import TorrentMeta
 
 
-class ContentPublishingMonitor:
-    """Live monitor feeding the :class:`MonitorStore`."""
+class ContentPublishingMonitor(Crawler):
+    """Live monitor feeding the :class:`MonitorStore`: a crawler that stops
+    at first contact and stores one row per discovered publication."""
 
     def __init__(
         self,
@@ -44,73 +45,51 @@ class ContentPublishingMonitor:
         paper announces as future work: that fraction of new torrents gets a
         sample of pieces downloaded and hash-checked an hour after
         publication; a failed check flags the publishing account as fake."""
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
         if not 0.0 <= verify_content_fraction <= 1.0:
             raise ValueError("verify_content_fraction must be in [0, 1]")
-        self.world = world
-        self.scheduler = scheduler
+        super().__init__(
+            world,
+            scheduler,
+            random.Random(0x5EC7),
+            settings=replace(
+                world.config.crawler,
+                monitor_swarms=False,
+                rss_poll_interval=poll_interval,
+                max_probe_peers=max_probe_peers,
+            ),
+        )
         self.store = store if store is not None else MonitorStore()
-        self.poll_interval = poll_interval
-        self.max_probe_peers = max_probe_peers
         self.verify_content_fraction = verify_content_fraction
-        self._rng = random.Random(0xB17)
-        self._last_rss_time = float("-inf")
-        self._stop_at: Optional[float] = None
-        self.publications_seen = 0
-        self.publishers_located = 0
+        # Kept apart from the crawler's rng so that the verification draws
+        # do not depend on which discovery channels the world has.
+        self._verify_rng = random.Random(0xB17)
         self.contents_verified = 0
         self.fakes_caught = 0
+
+    @property
+    def publications_seen(self) -> int:
+        return len(self.records)
+
+    @property
+    def publishers_located(self) -> int:
+        return sum(
+            record.publisher_ip is not None for record in self.records.values()
+        )
 
     # ------------------------------------------------------------------
     # Live operation
     # ------------------------------------------------------------------
     def run_until(self, end_time: float) -> None:
-        """Monitor the portal feed until ``end_time`` (simulated minutes)."""
-        self._stop_at = end_time
-        self.scheduler.schedule(self.scheduler.clock.now, self._poll)
+        """Monitor until ``end_time`` (simulated minutes); the feed itself
+        is polled up to the end of the scenario's window."""
+        self.start()
         self.scheduler.run_until(end_time)
 
-    def _poll(self) -> None:
-        now = self.scheduler.clock.now
-        entries = self.world.portal.feed.entries_between(self._last_rss_time, now)
-        self._last_rss_time = now
-        for entry in entries:
-            self._ingest(entry, now)
-        if self._stop_at is None or now + self.poll_interval <= self._stop_at:
-            self.scheduler.schedule_after(self.poll_interval, self._poll)
-
-    def _ingest(self, entry: RssEntry, now: float) -> None:
-        self.publications_seen += 1
-        publisher_ip: Optional[int] = None
-        torrent_bytes = self.world.portal.get_torrent_file(entry.torrent_id, now)
-        if torrent_bytes is not None:
-            meta = parse_torrent(torrent_bytes)
-            raw = self.world.tracker.announce(
-                AnnounceRequest(
-                    infohash=meta.infohash, client_ip=_MONITOR_IP, numwant=200
-                ),
-                now,
-            )
-            try:
-                response = decode_announce_response(raw)
-            except TrackerError:
-                response = None
-            if response is not None:
-                prober = BitfieldProber(
-                    self.world.swarm_for(entry.torrent_id),
-                    meta.num_pieces,
-                    _MONITOR_PEER_ID,
-                )
-                result = identify_publisher(
-                    response, prober, now, max_probe_peers=self.max_probe_peers
-                )
-                publisher_ip = result.publisher_ip
-
+    def _discover(self, entry: RssEntry, now: float) -> Optional[TorrentMeta]:
+        meta = super()._discover(entry, now)
         if (
-            torrent_bytes is not None
-            and self.verify_content_fraction > 0.0
-            and self._rng.random() < self.verify_content_fraction
+            meta is not None
+            and self._verify_rng.random() < self.verify_content_fraction
         ):
             # Verify an hour after publication, when the (sole) seeder of a
             # decoy is still around but honest swarms have finished peers.
@@ -118,21 +97,22 @@ class ContentPublishingMonitor:
                 now + 60.0, self._verify_content, entry, meta
             )
 
+        record = self.records[entry.torrent_id]
+        publisher_ip = record.publisher_ip
         isp = kind = city = country = None
         if publisher_ip is not None:
-            self.publishers_located += 1
             geo = self.world.geoip.lookup(publisher_ip)
             if geo is not None:
                 isp, kind = geo.isp, geo.kind.value
                 city, country = geo.city, geo.country
         self.store.insert_publication(
             PublicationRow(
-                torrent_id=entry.torrent_id,
-                title=entry.title,
-                category=entry.category.value,
-                size_bytes=entry.size_bytes,
-                username=entry.username,
-                publish_time=entry.published_time,
+                torrent_id=record.torrent_id,
+                title=record.title,
+                category=record.category.value,
+                size_bytes=record.size_bytes,
+                username=record.username,
+                publish_time=record.publish_time,
                 publisher_ip=(
                     format_ip(publisher_ip) if publisher_ip is not None else None
                 ),
@@ -142,14 +122,13 @@ class ContentPublishingMonitor:
                 country=country,
             )
         )
+        return meta
 
-    def _verify_content(self, entry: RssEntry, meta) -> None:
+    def _verify_content(self, entry: RssEntry, meta: TorrentMeta) -> None:
         """The realised fake filter: sample pieces, hash-check, flag."""
-        from repro.peerwire.verification import ContentVerdict, verify_content
-
         swarm = self.world.swarm_for(entry.torrent_id)
         result = verify_content(
-            swarm, meta, self.scheduler.clock.now, self._rng
+            swarm, meta, self.scheduler.clock.now, self._verify_rng
         )
         if result.verdict is ContentVerdict.UNREACHABLE:
             return

@@ -383,16 +383,6 @@ class MetricsRegistry:
         handle = self.histogram(name, wall=True).labels(**labels)
         return Timer(handle, time.perf_counter, scale=1000.0)
 
-    def sim_timer(self, name: str, clock: Any, **labels: Any) -> Timer:
-        """Simulated-clock timer; records elapsed simulated minutes.
-
-        ``clock`` is anything with a ``now`` attribute (a
-        :class:`~repro.simulation.clock.Clock`), so durations derive from
-        event-engine time and stay deterministic under a fixed seed.
-        """
-        handle = self.histogram(name, wall=False).labels(**labels)
-        return Timer(handle, lambda: clock.now, scale=1.0)
-
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------

@@ -122,17 +122,5 @@ class EventScheduler:
         self.clock.advance_to(max(self.clock.now, end_time))
         self._m_sim_time.set(self.clock.now)
 
-    def run_all(self, max_events: Optional[int] = None) -> None:
-        """Drain the queue completely (bounded by ``max_events`` if given)."""
-        remaining = max_events
-        while self._heap:
-            if remaining is not None:
-                if remaining <= 0:
-                    raise RuntimeError("max_events exhausted; runaway schedule?")
-                remaining -= 1
-            time, _seq, callback, args = heapq.heappop(self._heap)
-            self._dispatch(time, callback, args)
-        self._m_sim_time.set(self.clock.now)
-
     def pending(self) -> int:
         return len(self._heap)

@@ -304,16 +304,16 @@ class World:
             if config.tracker_enabled:
                 self.tracker.register_swarm(swarm)
             if self.dht is not None:
-                self._announce_swarm_to_dht(swarm)
+                self._announce_swarm_to_dht(self.dht, swarm)
 
-    def _announce_swarm_to_dht(self, swarm: Swarm) -> None:
+    @staticmethod
+    def _announce_swarm_to_dht(network: DhtNetwork, swarm: Swarm) -> None:
         """Mirror swarm churn into the DHT: every peer session announces at
         join and re-announces until it leaves (modelled as one interval
         extended by the nodes' announce TTL, as real stores age out)."""
-        assert self.dht is not None
-        ttl = self.dht.config.announce_ttl_minutes
+        ttl = network.config.announce_ttl_minutes
         for session in swarm.all_sessions:
-            self.dht.announce_session(
+            network.announce_session(
                 swarm.infohash,
                 ip=session.ip,
                 port=peer_port_for_ip(session.ip),

@@ -206,21 +206,3 @@ class Swarm:
             s for s in self._sessions if s.join_time <= t < s.leave_time
         ]
 
-    def peak_population(self, resolution: float = 60.0) -> int:
-        """Maximum instantaneous population, scanned at ``resolution`` minutes."""
-        if not self._sessions:
-            return 0
-        start = min(s.join_time for s in self._sessions)
-        end = max(s.leave_time for s in self._sessions)
-        peak = 0
-        t = start
-        while t <= end:
-            peak = max(peak, len(self.sessions_at(t)))
-            t += resolution
-        return peak
-
-    def end_of_life(self) -> float:
-        """When the last session leaves (the swarm dies)."""
-        if not self._sessions:
-            return self.birth_time
-        return max(s.leave_time for s in self._sessions)

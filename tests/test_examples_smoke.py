@@ -9,6 +9,9 @@ EXAMPLES = [
     ("examples/session_estimation.py", []),
     ("examples/quickstart.py", ["11"]),
     ("examples/archive_workflow.py", []),
+    # The only end-to-end run of the Section 7 monitor: its SQLite queries
+    # and the fake-publisher filter.
+    ("examples/live_monitor.py", []),
 ]
 
 

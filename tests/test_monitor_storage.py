@@ -1,10 +1,14 @@
 """Tests for the Section 7 monitoring application and its database."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.monitor import ContentPublishingMonitor
 from repro.core.storage import MonitorStore, PublicationRow, PublisherRow
-from repro.simulation import World, tiny_scenario
+from repro.portal.categories import Category
+from repro.simulation import World, build_scenario, tiny_scenario
 from repro.simulation.engine import EventScheduler
 
 
@@ -145,6 +149,61 @@ class TestMonitor:
         with pytest.raises(ValueError):
             ContentPublishingMonitor(world, EventScheduler(), poll_interval=0)
 
+    def test_rows_pinned(self, monitor_run):
+        """Seen/located counts and the (torrent, publisher IP) rows of the
+        seed-55 run, as the monitor produced them before it ran on the
+        crawler: moving first contact into the crawler changed no row."""
+        _world, monitor = monitor_run
+        assert monitor.publications_seen == 300
+        assert monitor.publishers_located == 154
+        rows = sorted(
+            [row.torrent_id, row.publisher_ip]
+            for category in Category
+            for row in monitor.store.publications_by_category(category.value)
+        )
+        assert len(rows) == 300
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+        assert digest == "afd0e52a6b822a6f"
+
+
+def _dht_monitor_run(scenario, announces=None):
+    """A monitor over a half-day ``scenario`` world at seed 7; with
+    ``announces``, every tracker announce's client address is appended."""
+    world = World.build(
+        build_scenario(scenario, window_days=0.5, post_window_days=0.5), seed=7
+    )
+    if announces is not None:
+        tracker = world.tracker
+        for name in ("announce", "announce_object"):
+            method = getattr(tracker, name)
+
+            def wrapped(request, now, _method=method):
+                announces.append(request.client_ip)
+                return _method(request, now)
+
+            setattr(tracker, name, wrapped)
+    monitor = ContentPublishingMonitor(world, EventScheduler(), poll_interval=10.0)
+    monitor.run_until(world.config.window_minutes)
+    return world, monitor
+
+
+class TestMonitorChannels:
+    """First contact goes through the scenario's channels, as the crawler's."""
+
+    def test_trackerless_locates_publishers(self):
+        """Magnet-only publications reach their swarm over the DHT."""
+        _world, monitor = _dht_monitor_run("trackerless")
+        assert monitor.publications_seen > 0
+        assert monitor.publishers_located > 0
+
+    def test_hybrid_announces_from_no_dht_node_address(self):
+        announces = []
+        world, monitor = _dht_monitor_run("hybrid", announces)
+        assert monitor.publishers_located > 0
+        assert announces
+        node_ips = {node.ip for node in world.dht.nodes}
+        assert not node_ips.intersection(announces)
+
 
 class TestContentVerificationFilter:
     """The paper's §7 future-work feature, realised via piece hash checks."""
@@ -161,6 +220,10 @@ class TestContentVerificationFilter:
         monitor.run_until(world.config.window_minutes)
         assert monitor.contents_verified > 50
         assert monitor.fakes_caught > 0
+        # The seed-66 counts as the monitor produced them before it ran on
+        # the crawler: the verification draws did not move.
+        assert (monitor.contents_verified, monitor.fakes_caught) == (113, 33)
+        assert len(monitor.store.fake_usernames()) == 16
 
         # Every flagged username truly published fake content.
         truth_fake = {

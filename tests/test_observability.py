@@ -17,7 +17,6 @@ from repro.observability import (
     MetricsRegistry,
     TraceBuffer,
 )
-from repro.simulation.clock import Clock
 from repro.simulation.engine import EventScheduler
 from repro.tracker import AnnounceRequest, Tracker
 
@@ -135,15 +134,6 @@ class TestHistogram:
 
 
 class TestTimers:
-    def test_sim_timer_reads_clock(self):
-        registry = MetricsRegistry()
-        clock = Clock()
-        with registry.sim_timer("span_minutes", clock, stage="crawl"):
-            clock.advance_to(12.5)
-        summary = registry.histogram("span_minutes").labels(stage="crawl").summary()
-        assert summary["count"] == 1
-        assert summary["sum"] == pytest.approx(12.5)
-
     def test_wall_timer_marks_histogram_wall(self):
         registry = MetricsRegistry()
         with registry.timer("elapsed_ms"):

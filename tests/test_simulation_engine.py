@@ -89,16 +89,6 @@ class TestScheduler:
         scheduler.run_until(10.0)
         assert scheduler.events_run == 5
 
-    def test_run_all_with_cap(self):
-        scheduler = EventScheduler()
-
-        def forever():
-            scheduler.schedule_after(1.0, forever)
-
-        scheduler.schedule(0.0, forever)
-        with pytest.raises(RuntimeError, match="max_events"):
-            scheduler.run_all(max_events=100)
-
     def test_peek_time(self):
         scheduler = EventScheduler()
         assert scheduler.peek_time() is None

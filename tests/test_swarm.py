@@ -193,18 +193,6 @@ class TestSwarmGroundTruth:
             expected_seeders = sum(1 for s in truth if s.is_seeder_at(float(t)))
             assert snap.num_seeders == expected_seeders
 
-    def test_end_of_life(self):
-        swarm = make_swarm([PeerSession(ip=1, join_time=0, leave_time=42)])
-        assert swarm.end_of_life() == 42
-
-    def test_peak_population(self):
-        swarm = make_swarm(
-            [
-                PeerSession(ip=1, join_time=0, leave_time=300),
-                PeerSession(ip=2, join_time=60, leave_time=300),
-            ]
-        )
-        assert swarm.peak_population(resolution=30.0) == 2
 
 
 class TestChurn:
